@@ -10,6 +10,10 @@
 namespace gllc
 {
 
+namespace
+{
+
+/** Exponential backoff before re-attempt @p attempt (1-based). */
 void
 backoffSleep(unsigned first_delay_ms, unsigned attempt)
 {
@@ -18,6 +22,26 @@ backoffSleep(unsigned first_delay_ms, unsigned attempt)
     std::this_thread::sleep_for(std::chrono::milliseconds(
         static_cast<std::uint64_t>(first_delay_ms)
         << (attempt - 1)));
+}
+
+} // namespace
+
+RetryOutcome
+withRetries(unsigned max_attempts, unsigned backoff_ms,
+            const std::function<std::string(unsigned)> &attempt,
+            const std::function<void(unsigned, const std::string &)>
+                &on_retry)
+{
+    RetryOutcome out;
+    for (unsigned n = 1; n <= max_attempts; ++n) {
+        out.attempts = n;
+        out.error = attempt(n);
+        if (out.error.empty() || n == max_attempts)
+            break;
+        on_retry(n, out.error);
+        backoffSleep(backoff_ms, n);
+    }
+    return out;
 }
 
 std::uint64_t

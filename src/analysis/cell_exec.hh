@@ -6,7 +6,9 @@
  * thing wherever it runs:
  *
  *  - guarded(): the exception boundary of one cell attempt;
- *  - backoffSleep(): the exponential delay before a retry;
+ *  - withRetries(): the one retry rule (attempt; on failure report,
+ *    back off exponentially and retry until the budget is spent),
+ *    for in-process cell bodies and gllcd's worker round trips alike;
  *  - injectCellFaults(): the cell.delay / cell.throw sites, drawn
  *    with faultKey() from the cell's logical coordinates, so
  *    GLLC_FAULT fails the same cells at any thread count and in
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 
 #include "analysis/cell_key.hh"
@@ -73,8 +76,27 @@ guarded(F &&fn)
     }
 }
 
-/** Exponential backoff before re-attempt @p attempt (1-based). */
-void backoffSleep(unsigned first_delay_ms, unsigned attempt);
+/** How a retried operation ended. */
+struct RetryOutcome
+{
+    /** "" on success, else the last attempt's error. */
+    std::string error;
+
+    /** Attempts made (1 = first try). */
+    unsigned attempts = 0;
+};
+
+/**
+ * The one retry rule: call @p attempt(n) for n = 1, 2, ... until it
+ * returns "" or @p max_attempts attempts have failed.  After a
+ * failed attempt n that is not the last, @p on_retry(n, error) runs
+ * and the caller sleeps backoff_ms << (n - 1) ms.
+ */
+RetryOutcome
+withRetries(unsigned max_attempts, unsigned backoff_ms,
+            const std::function<std::string(unsigned)> &attempt,
+            const std::function<void(unsigned, const std::string &)>
+                &on_retry);
 
 /**
  * Fault-injection key of attempt @p attempt of cell @p key.  It

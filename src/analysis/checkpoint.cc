@@ -4,11 +4,12 @@
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "analysis/sweep.hh"
 #include "common/hash.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace gllc
@@ -17,9 +18,9 @@ namespace gllc
 namespace
 {
 
-/** Escape the two characters our JSON strings need escaped. */
+/** Escape the two characters journal strings escape (see Cursor::str). */
 std::string
-jsonEscape(const std::string &s)
+journalEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
@@ -68,7 +69,7 @@ headerLine(const CheckpointMeta &meta)
         if (i)
             line += ',';
         line += '"';
-        line += jsonEscape(meta.policies[i]);
+        line += journalEscape(meta.policies[i]);
         line += '"';
     }
     line += ']';
@@ -117,6 +118,37 @@ unsealJournalLine(std::string &line)
     return true;
 }
 
+bool
+unsealJournalJson(std::string line, JsonValue &doc)
+{
+    while (!line.empty()
+           && (line.back() == '\n' || line.back() == '\r'))
+        line.pop_back();
+    if (!unsealJournalLine(line))
+        return false;
+    // The checksummed prefix stops short of the closing brace.
+    line += '}';
+    Result<JsonValue> parsed = parseJson(line);
+    if (!parsed.ok() || !parsed.value().isObject())
+        return false;
+    doc = parsed.take();
+    return true;
+}
+
+std::size_t
+trimTornTail(const std::string &path, const char *what)
+{
+    std::ifstream probe(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(probe), {}};
+    if (bytes.empty() || bytes.back() == '\n')
+        return bytes.size();
+    const std::size_t keep = bytes.rfind('\n') + 1;
+    if (::truncate(path.c_str(), static_cast<off_t>(keep)) != 0)
+        warn("cannot trim torn tail of %s \"%s\"", what,
+             path.c_str());
+    return keep;
+}
+
 std::string
 checkpointCellLine(const SweepCell &cell)
 {
@@ -124,11 +156,11 @@ checkpointCellLine(const SweepCell &cell)
     const Characterization &ch = cell.result.characterization;
 
     std::string line = "{\"app\":\"";
-    line += jsonEscape(cell.key.app);
+    line += journalEscape(cell.key.app);
     line += "\",\"frame\":";
     appendU64(line, cell.key.frameIndex);
     line += ",\"policy\":\"";
-    line += jsonEscape(cell.key.policy);
+    line += journalEscape(cell.key.policy);
     line += "\",\"attempts\":";
     appendU64(line, cell.attempts);
     line += ",\"streams\":[";
@@ -398,31 +430,11 @@ CheckpointWriter::CheckpointWriter(const std::string &path,
                                    bool append)
     : path_(path)
 {
-    bool write_header = true;
-    if (append) {
-        // Appending to a journal that already has content: the
-        // header was validated by the resume load.  A kill during a
-        // write can leave a torn final line; drop it (the load
-        // skipped it anyway) so the next cell starts on a clean
-        // line boundary instead of gluing onto the fragment.
-        std::string bytes;
-        {
-            std::ifstream probe(path, std::ios::binary);
-            std::ostringstream ss;
-            ss << probe.rdbuf();
-            bytes = ss.str();
-        }
-        if (!bytes.empty() && bytes.back() != '\n') {
-            const std::size_t keep = bytes.rfind('\n') + 1;
-            if (::truncate(path.c_str(),
-                           static_cast<off_t>(keep)) != 0) {
-                warn("cannot trim torn tail of checkpoint \"%s\"",
-                     path.c_str());
-            }
-            bytes.resize(keep);
-        }
-        write_header = bytes.empty();
-    }
+    // Appending to a journal that already has content: the header
+    // was validated by the resume load, and the torn line a kill
+    // can leave was skipped by it, so drop that too.
+    const bool write_header =
+        !append || trimTornTail(path, "checkpoint") == 0;
     MutexLock lock(mutex_);
     file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
     if (file_ == nullptr)

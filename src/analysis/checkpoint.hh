@@ -39,6 +39,7 @@
 namespace gllc
 {
 
+class JsonValue;
 struct SweepCell;
 
 /**
@@ -57,6 +58,20 @@ std::string sealJournalLine(std::string line);
  * on a torn, rotted, or unsealed line.
  */
 bool unsealJournalLine(std::string &line);
+
+/**
+ * Unseal @p line (a trailing newline is fine) and parse its
+ * checksummed prefix as a JSON object into @p doc; false on a torn,
+ * rotted, unsealed or non-object line.
+ */
+bool unsealJournalJson(std::string line, JsonValue &doc);
+
+/**
+ * Truncate the torn final line a kill can leave in the journal at
+ * @p path, so the next append starts on a line boundary; returns the
+ * bytes kept (0: write a header).  Warns, naming @p what, on failure.
+ */
+std::size_t trimTornTail(const std::string &path, const char *what);
 
 /** The sweep configuration a journal belongs to. */
 struct CheckpointMeta

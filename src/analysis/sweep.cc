@@ -571,27 +571,23 @@ SweepConfig::run() const
     // re-reads the metrics switch.
     const bool metrics_on = metricsActive();
 
-    // The one retry rule of a sweep: run @p body(attempt) under the
-    // exception boundary until it succeeds or the budget is spent,
-    // with exponential backoff between attempts.  Returns "" or the
-    // last error, leaving the attempt count in @p attempts.
+    // Run @p body(attempt) under the exception boundary with the one
+    // retry rule (analysis/cell_exec).  Returns "" or the last
+    // error, leaving the attempt count in @p attempts.
     const auto with_retries = [&](unsigned &attempts,
                                   const auto &body) {
-        std::string error;
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            attempts = attempt;
-            error = guarded([&] { body(attempt); });
-            if (error.empty())
-                break;
-            if (attempt < max_attempts) {
+        RetryOutcome run = withRetries(
+            max_attempts, backoff_ms,
+            [&](unsigned attempt) {
+                return guarded([&] { body(attempt); });
+            },
+            [&](unsigned, const std::string &) {
                 if (metrics_on)
                     MetricsRegistry::instance().addCounter(
                         "sweep.retries");
-                backoffSleep(backoff_ms, attempt);
-            }
-        }
-        return error;
+            });
+        attempts = run.attempts;
+        return std::move(run.error);
     };
 
     // One cell under the full fault boundary: retries, then

@@ -98,7 +98,7 @@ class Rng
 
     /** Fork an independent generator for a named sub-task. */
     Rng
-    fork(std::uint64_t salt)
+    fork(std::uint64_t salt)  // gllc-lint: allow(process-spawn)
     {
         return Rng(next() ^ (salt * 0xbf58476d1ce4e5b9ULL));
     }

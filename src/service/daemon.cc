@@ -11,7 +11,6 @@
 #include <netinet/in.h>
 #include <sstream>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -44,26 +43,6 @@ void
 sendError(int fd, const Error &error, int timeout_ms)
 {
     (void)writeFrame(fd, errorFrameJson(error), timeout_ms);
-}
-
-/** mkdir -p: create @p dir and any missing parents. */
-bool
-makeDirs(const std::string &dir)
-{
-    std::string partial;
-    std::size_t pos = 0;
-    while (pos <= dir.size()) {
-        const std::size_t slash = dir.find('/', pos);
-        const std::size_t end =
-            slash == std::string::npos ? dir.size() : slash;
-        partial.assign(dir, 0, end);
-        pos = end + 1;
-        if (partial.empty())
-            continue;
-        if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-    }
-    return true;
 }
 
 /** Fixed-point rendering of trace-clock microseconds. */

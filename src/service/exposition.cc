@@ -97,11 +97,13 @@ MetricsHttpServer::stop()
 {
     if (!running_.exchange(false))
         return;
+    // shutdown() wakes the accept(); the fd is closed only once the
+    // serve thread has stopped reading it.
     ::shutdown(listenFd_, SHUT_RDWR);
-    ::close(listenFd_);
-    listenFd_ = -1;
     if (thread_.joinable())
         thread_.join();
+    ::close(listenFd_);
+    listenFd_ = -1;
     boundPort_ = -1;
 }
 

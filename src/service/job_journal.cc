@@ -5,7 +5,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <unistd.h>
 
 #include "analysis/checkpoint.hh"
@@ -24,27 +23,6 @@ journalHeaderLine()
     return sealJournalLine("{\"gllcd_journal\":1");
 }
 
-/**
- * Unseal one journal line and re-parse it as JSON.  unsealJournalLine
- * strips to the checksummed prefix WITHOUT its closing brace, so one
- * is re-appended before parsing.
- */
-bool
-unsealToJson(std::string line, JsonValue &doc)
-{
-    while (!line.empty()
-           && (line.back() == '\n' || line.back() == '\r'))
-        line.pop_back();
-    if (!unsealJournalLine(line))
-        return false;
-    line += '}';
-    Result<JsonValue> parsed = parseJson(line);
-    if (!parsed.ok() || !parsed.value().isObject())
-        return false;
-    doc = parsed.take();
-    return true;
-}
-
 } // namespace
 
 JobJournal::~JobJournal()
@@ -55,25 +33,7 @@ JobJournal::~JobJournal()
 Result<Unit>
 JobJournal::open(const std::string &path)
 {
-    // Trim the torn final line a kill -9 can leave, exactly like
-    // CheckpointWriter: the next record must start on a clean line
-    // boundary, not glue onto a fragment.
-    std::string bytes;
-    {
-        std::ifstream probe(path, std::ios::binary);
-        std::ostringstream ss;
-        ss << probe.rdbuf();
-        bytes = ss.str();
-    }
-    if (!bytes.empty() && bytes.back() != '\n') {
-        const std::size_t keep = bytes.rfind('\n') + 1;
-        if (::truncate(path.c_str(), static_cast<off_t>(keep))
-            != 0)
-            warn("cannot trim torn tail of job journal \"%s\"",
-                 path.c_str());
-        bytes.resize(keep);
-    }
-    const bool write_header = bytes.empty();
+    const bool write_header = trimTornTail(path, "job journal") == 0;
 
     MutexLock lock(mutex_);
     if (file_ != nullptr)
@@ -176,7 +136,7 @@ JobJournal::load(const std::string &path)
         return recovery;  // empty journal: nothing to recover
     {
         JsonValue header;
-        if (!unsealToJson(line, header)
+        if (!unsealJournalJson(line, header)
             || header.find("gllcd_journal") == nullptr)
             return Error::format(
                 ErrorCode::Corrupt,
@@ -192,7 +152,7 @@ JobJournal::load(const std::string &path)
         if (line.empty())
             continue;
         JsonValue doc;
-        if (!unsealToJson(std::move(line), doc)) {
+        if (!unsealJournalJson(std::move(line), doc)) {
             ++recovery.skippedLines;
             continue;
         }

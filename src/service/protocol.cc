@@ -15,45 +15,29 @@
 namespace gllc
 {
 
+Deadline::Deadline(int timeout_ms) : unbounded_(timeout_ms <= 0)
+{
+    if (!unbounded_)
+        end_ = std::chrono::steady_clock::now()
+               + std::chrono::milliseconds(timeout_ms);
+}
+
+int
+Deadline::remainingMs() const
+{
+    if (unbounded_)
+        return -1;
+    const long long left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            end_ - std::chrono::steady_clock::now())
+            .count();
+    if (left <= 0)
+        return 0;
+    return static_cast<int>(left > INT_MAX ? INT_MAX : left);
+}
+
 namespace
 {
-
-/**
- * A poll() budget: constructed from a timeout in milliseconds,
- * 0 (or negative) meaning unbounded.  Mirrors the raw-fd deadline
- * reader WorkerProcess::receive grew for hung workers — here it
- * bounds hostile or half-open clients.
- */
-class Deadline
-{
-  public:
-    explicit Deadline(int timeout_ms) : unbounded_(timeout_ms <= 0)
-    {
-        if (!unbounded_)
-            end_ = std::chrono::steady_clock::now()
-                   + std::chrono::milliseconds(timeout_ms);
-    }
-
-    /** poll() timeout argument: -1 = wait forever, >= 0 = budget. */
-    int
-    remainingMs() const
-    {
-        if (unbounded_)
-            return -1;
-        const long long left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                end_ - std::chrono::steady_clock::now())
-                .count();
-        if (left <= 0)
-            return 0;
-        return static_cast<int>(
-            left > INT_MAX ? INT_MAX : left);
-    }
-
-  private:
-    bool unbounded_;
-    std::chrono::steady_clock::time_point end_;
-};
 
 /** How a deadline-bounded wait for fd readiness ended. */
 enum class IoWait : std::uint8_t

@@ -37,9 +37,9 @@
  * polls the fd with the remaining budget and surfaces an expired
  * deadline as a Timeout error, so a slowloris peer — one that sends
  * a partial header and then nothing — costs a connection thread at
- * most the deadline, never forever.  These wrappers (plus
- * worker.cc's pipe reader) are the only sanctioned raw-fd IO in
- * src/service/; gllc-lint enforces that.
+ * most the deadline, never forever.  These wrappers are the only
+ * sanctioned raw-fd IO in src/service/ (worker channels included);
+ * gllc-lint enforces that.
  *
  * status_v2 is the telemetry view gllc-top polls: queue depth per
  * priority class, job counters, cache hit rate, and rolling
@@ -60,6 +60,7 @@
 #ifndef GLLC_SERVICE_PROTOCOL_HH
 #define GLLC_SERVICE_PROTOCOL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -74,6 +75,25 @@ constexpr std::uint32_t kServiceProtocolVersion = 1;
 
 /** Sanity cap on one frame (64 MB covers any realistic report). */
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+/**
+ * A wait budget: constructed from a timeout in milliseconds, 0 (or
+ * negative) meaning unbounded.  It bounds hostile or half-open
+ * clients inside the frame IO below, and a worker's whole cell
+ * across the several reads one reply line may take.
+ */
+class Deadline
+{
+  public:
+    explicit Deadline(int timeout_ms);
+
+    /** poll() timeout argument: -1 = wait forever, >= 0 = budget. */
+    int remainingMs() const;
+
+  private:
+    bool unbounded_;
+    std::chrono::steady_clock::time_point end_;
+};
 
 /**
  * Write one length-prefixed frame to @p fd within @p timeout_ms

@@ -15,7 +15,18 @@ namespace gllc
 namespace
 {
 
-/** mkdir -p: create @p dir and any missing parents. */
+std::string
+keyFileName(const ResultKey &key)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf),
+                  "tr%016" PRIx64 "-sp%016" PRIx64 ".json",
+                  key.traceHash, key.specHash);
+    return buf;
+}
+
+} // namespace
+
 bool
 makeDirs(const std::string &dir)
 {
@@ -35,18 +46,6 @@ makeDirs(const std::string &dir)
     }
     return true;
 }
-
-std::string
-keyFileName(const ResultKey &key)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "tr%016" PRIx64 "-sp%016" PRIx64 ".json",
-                  key.traceHash, key.specHash);
-    return buf;
-}
-
-} // namespace
 
 ResultStore::ResultStore(std::string root) : root_(std::move(root))
 {

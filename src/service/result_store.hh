@@ -32,6 +32,12 @@
 namespace gllc
 {
 
+/**
+ * mkdir -p: create @p dir and any missing parents (0755).  False
+ * with errno set when a component cannot be created.
+ */
+bool makeDirs(const std::string &dir);
+
 /** The content address of one sweep result. */
 struct ResultKey
 {

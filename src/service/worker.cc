@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fcntl.h>
 #include <fstream>
 #include <map>
-#include <poll.h>
 #include <signal.h>
+#include <spawn.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -30,6 +29,7 @@
 #include "common/metrics.hh"
 #include "common/thread_annotations.hh"
 #include "common/trace_event.hh"
+#include "service/protocol.hh"
 #include "workload/app_profile.hh"
 #include "workload/trace_cache.hh"
 
@@ -38,16 +38,6 @@ namespace gllc
 
 namespace
 {
-
-/** Verify a sealed line's trailing checksum (keeps @p line whole). */
-bool
-verifySeal(const std::string &line)
-{
-    std::string copy = line;
-    if (!copy.empty() && copy.back() == '\n')
-        copy.pop_back();
-    return unsealJournalLine(copy);
-}
 
 /** The failed-cell line of the worker protocol (sealed). */
 std::string
@@ -80,15 +70,10 @@ struct FailedCell
 bool
 parseFailedCellLine(const std::string &line, FailedCell &out)
 {
+    JsonValue doc;
     if (line.compare(0, 12, "{\"failed\":1,") != 0
-        || !verifySeal(line))
+        || !unsealJournalJson(line, doc))
         return false;
-    Result<JsonValue> parsed = parseJson(
-        line.back() == '\n' ? line.substr(0, line.size() - 1)
-                            : line);
-    if (!parsed.ok())
-        return false;
-    const JsonValue doc = parsed.take();
     const JsonValue *app = doc.find("app");
     const JsonValue *frame = doc.find("frame");
     const JsonValue *policy = doc.find("policy");
@@ -111,23 +96,6 @@ parseFailedCellLine(const std::string &line, FailedCell &out)
                policy_name.take()};
     out.attempts = static_cast<unsigned>(attempt_count.value());
     out.error = error_text.take();
-    return true;
-}
-
-/** Write all bytes; false on unrecoverable error (EPIPE, ...). */
-bool
-writeAll(int fd, const char *buf, std::size_t len)
-{
-    std::size_t done = 0;
-    while (done < len) {
-        const ssize_t n = ::write(fd, buf + done, len - done);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
     return true;
 }
 
@@ -190,8 +158,8 @@ emitCellEvent(const ShardTelemetry *telemetry, const char *type,
 enum class RecvStatus
 {
     Line,    ///< one complete response line delivered
-    Eof,     ///< worker closed its pipe (died or exited)
-    Timeout  ///< no complete line within the deadline
+    Eof,     ///< worker closed its end (died or exited)
+    Timeout  ///< no complete line within the cell budget
 };
 
 /** Describe how a reaped worker died. */
@@ -206,11 +174,27 @@ exitDescription(int status)
     return "unknown status " + std::to_string(status);
 }
 
+/**
+ * How long a worker may take to exit once its socket closes before
+ * it is SIGKILLed.  An orderly worker exits within milliseconds of
+ * EOF (flushing its trace file on the way out); the grace only ever
+ * runs out on a worker that outlives its channel.
+ */
+constexpr int kWorkerExitGraceMs = 2000;
+
 /** A live worker subprocess (parent side). */
 class WorkerProcess
 {
   public:
-    WorkerProcess() = default;
+    /**
+     * @param timeout_ms  the cell budget: bounds each sendLine() and
+     *                    each receive() (0 = unbounded).
+     */
+    explicit WorkerProcess(unsigned timeout_ms)
+        : timeoutMs_(static_cast<int>(
+              std::min<unsigned>(timeout_ms, INT_MAX)))
+    {
+    }
     ~WorkerProcess() { shutdown(); }
 
     WorkerProcess(const WorkerProcess &) = delete;
@@ -221,78 +205,67 @@ class WorkerProcess
     /** The subprocess pid (names its per-spawn trace file). */
     pid_t pid() const { return pid_; }
 
-    /** Spawn and send the spec line; false on any failure. */
-    [[nodiscard]] bool
+    /**
+     * Start @p exe as a worker on one socketpair and send the spec
+     * line.  The child gets the socket as stdin and stdout and
+     * nothing else beyond stderr: closefrom(3) runs after the dup2s,
+     * so no fd the daemon (or a sibling shard) holds survives into
+     * it.  Returns "" or the reason the worker could not start.
+     */
+    [[nodiscard]] std::string
     spawn(const std::string &exe, const std::string &spec_line)
     {
-        // Close-on-exec, so a sibling worker forked by another shard
-        // thread never inherits these ends: an inherited write end
-        // would withhold EOF from this worker forever.  dup2() below
-        // clears the flag on the child's stdin/stdout.
-        int to_child[2];
-        int from_child[2];
-        if (::pipe2(to_child, O_CLOEXEC) != 0)
-            return false;
-        if (::pipe2(from_child, O_CLOEXEC) != 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            return false;
-        }
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: stdin/stdout onto the pipes, then exec the
-            // worker entry.  Only async-signal-safe calls here.
-            ::dup2(to_child[0], 0);
-            ::dup2(from_child[1], 1);
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
-            char arg0[] = "gllcd-worker";
-            char arg1[] = "--worker";
-            char *argv[] = {arg0, arg1, nullptr};
-            ::execv(exe.c_str(), argv);
-            ::_exit(127);
+        int ends[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends)
+            != 0)
+            return std::string("cannot create worker socket: ")
+                + std::strerror(errno);
+        posix_spawn_file_actions_t actions;
+        posix_spawn_file_actions_init(&actions);
+        posix_spawn_file_actions_adddup2(&actions, ends[1], 0);
+        posix_spawn_file_actions_adddup2(&actions, ends[1], 1);
+        posix_spawn_file_actions_addclosefrom_np(&actions, 3);
+        char arg0[] = "gllcd-worker";
+        char arg1[] = "--worker";
+        char *argv[] = {arg0, arg1, nullptr};
+        pid_t pid = -1;
+        const int rc = ::posix_spawn(&pid, exe.c_str(), &actions,
+                                     nullptr, argv, environ);
+        posix_spawn_file_actions_destroy(&actions);
+        ::close(ends[1]);
+        if (rc != 0) {
+            ::close(ends[0]);
+            return "cannot spawn worker " + exe + ": "
+                + std::strerror(rc);
         }
         pid_ = pid;
-        writeFd_ = to_child[1];
-        readFd_ = from_child[0];
+        fd_ = ends[0];
         buffer_.clear();
-        ::close(to_child[0]);
-        ::close(from_child[1]);
-        if (!send(spec_line)) {
-            shutdown();
-            return false;
+        if (!sendLine(spec_line)) {
+            const std::string how = shutdown();
+            return "worker refused its spec (" + how + ")";
         }
-        return true;
+        return {};
     }
 
     [[nodiscard]] bool
-    send(const std::string &line)
+    sendLine(const std::string &line)
     {
-        return writeFd_ >= 0
-            && writeAll(writeFd_, line.data(), line.size());
+        return fd_ >= 0
+            && writeAllDeadline(fd_, line.data(), line.size(),
+                                timeoutMs_)
+                   .ok();
     }
 
     /**
-     * Read one response line.  @p timeout_ms bounds the whole wait
-     * (0 = wait forever); Timeout means the worker is alive but
-     * hung past the budget — the caller must kill() it, since a
-     * spinning worker ignores its pipes closing.
+     * Read one response line within the cell budget.  Timeout means
+     * the worker is alive but hung past it — the caller must kill()
+     * it, since a spinning worker ignores its socket closing.
      */
     RecvStatus
-    receive(std::string &line, unsigned timeout_ms)
+    receive(std::string &line)
     {
-        using clock = std::chrono::steady_clock;
-        const clock::time_point deadline =
-            clock::now() + std::chrono::milliseconds(timeout_ms);
+        const Deadline deadline(timeoutMs_);
         for (;;) {
             const std::size_t nl = buffer_.find('\n');
             if (nl != std::string::npos) {
@@ -300,46 +273,23 @@ class WorkerProcess
                 buffer_.erase(0, nl + 1);
                 return RecvStatus::Line;
             }
-            if (readFd_ < 0)
-                return RecvStatus::Eof;
-            if (timeout_ms > 0) {
-                const long long left_ms =
-                    std::chrono::duration_cast<
-                        std::chrono::milliseconds>(deadline
-                                                   - clock::now())
-                        .count();
-                if (left_ms <= 0)
-                    return RecvStatus::Timeout;
-                pollfd pfd{};
-                pfd.fd = readFd_;
-                pfd.events = POLLIN;
-                const int ready = ::poll(
-                    &pfd, 1,
-                    static_cast<int>(std::min<long long>(
-                        left_ms, INT_MAX)));
-                if (ready < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    return RecvStatus::Eof;
-                }
-                if (ready == 0)
-                    return RecvStatus::Timeout;
-            }
+            const int left_ms = deadline.remainingMs();
+            if (left_ms == 0)
+                return RecvStatus::Timeout;
             char chunk[4096];
-            const ssize_t n =
-                ::read(readFd_, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
+            Result<std::size_t> got = readSomeDeadline(
+                fd_, chunk, sizeof(chunk), std::max(left_ms, 0));
+            if (!got.ok())
+                return got.error().code == ErrorCode::Timeout
+                    ? RecvStatus::Timeout
+                    : RecvStatus::Eof;
+            if (got.value() == 0)
                 return RecvStatus::Eof;
-            }
-            if (n == 0)
-                return RecvStatus::Eof;
-            buffer_.append(chunk, static_cast<std::size_t>(n));
+            buffer_.append(chunk, got.value());
         }
     }
 
-    /** SIGKILL a hung worker so shutdown()'s reap cannot block. */
+    /** SIGKILL a hung worker so shutdown()'s reap is immediate. */
     void
     kill()
     {
@@ -347,35 +297,50 @@ class WorkerProcess
             ::kill(pid_, SIGKILL);
     }
 
-    /** Close pipes and reap; returns the exit description. */
+    /**
+     * Close the socket and reap, SIGKILLing a worker still running
+     * kWorkerExitGraceMs later; returns the exit description.
+     */
     std::string
     shutdown()
     {
-        if (writeFd_ >= 0) {
-            ::close(writeFd_);
-            writeFd_ = -1;
-        }
-        if (readFd_ >= 0) {
-            ::close(readFd_);
-            readFd_ = -1;
+        if (fd_ >= 0) {
+            ::close(fd_);
+            fd_ = -1;
         }
         buffer_.clear();
-        std::string how = "never ran";
-        if (pid_ > 0) {
-            int status = 0;
-            while (::waitpid(pid_, &status, 0) < 0
-                   && errno == EINTR) {
+        if (pid_ <= 0)
+            return "never ran";
+        const auto give_up = std::chrono::steady_clock::now()
+            + std::chrono::milliseconds(kWorkerExitGraceMs);
+        int status = 0;
+        pid_t reaped;
+        // Short naps first: an orderly worker is gone within a few
+        // ms of EOF, and a served job waits on this reap.
+        std::chrono::microseconds nap{50};
+        while ((reaped = ::waitpid(pid_, &status, WNOHANG)) == 0
+               || (reaped < 0 && errno == EINTR)) {
+            if (std::chrono::steady_clock::now() >= give_up) {
+                warn("gllcd worker %d still running %d ms after its "
+                     "socket closed; killing it",
+                     static_cast<int>(pid_), kWorkerExitGraceMs);
+                kill();
+                while (::waitpid(pid_, &status, 0) < 0
+                       && errno == EINTR) {
+                }
+                break;
             }
-            how = exitDescription(status);
-            pid_ = -1;
+            std::this_thread::sleep_for(nap);
+            nap = std::min(2 * nap, std::chrono::microseconds(5000));
         }
-        return how;
+        pid_ = -1;
+        return exitDescription(status);
     }
 
   private:
+    int timeoutMs_;
     pid_t pid_ = -1;
-    int writeFd_ = -1;
-    int readFd_ = -1;
+    int fd_ = -1;
     std::string buffer_;
 };
 
@@ -406,9 +371,11 @@ struct CellOutcome
 
 /**
  * Drive one worker's shard of cells to completion (one thread per
- * worker runs this).  Crashes respawn the worker and retry the
- * unanswered cell within the job's retry budget; a cell that keeps
- * killing workers is quarantined and the shard moves on.
+ * worker runs this).  Each cell is one round trip under the one
+ * retry rule (withRetries): a crash, a hang, a garbled reply or a
+ * failed spawn ends the attempt, the worker is respawned on the
+ * next one, and a cell that exhausts the budget is quarantined
+ * while the shard moves on.
  */
 void
 runShard(const SweepJobSpec &spec, const std::string &spec_line,
@@ -418,8 +385,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
          SharedStats &shared, const ShardTelemetry *telemetry)
 {
     const std::string exe = workerExecutable();
-    const unsigned max_attempts = spec.retries + 1;
-    WorkerProcess proc;
+    WorkerProcess proc(spec.cellTimeoutMs);
 
     // Hand every fresh worker the job's trace context; each spawn
     // writes its own worker-<pid>.jsonl, so a crashed worker leaves
@@ -433,7 +399,7 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
             + std::to_string(proc.pid()) + ".jsonl";
         // A failed send means the worker died already; the next
         // cell request surfaces that as a crash.
-        (void)proc.send(traceRequestLine(*telemetry, out_path));
+        (void)proc.sendLine(traceRequestLine(*telemetry, out_path));
     };
 
     const auto note_spawn = [&] {
@@ -461,14 +427,12 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
         const CellKey expect{spec.frames[frame_idx].app,
                              spec.frames[frame_idx].frameIndex,
                              spec.policies[policy_idx]};
-        for (unsigned attempt = 1;; ++attempt) {
-            out.attempts = attempt;
+        // One round trip: "" with out.cell filled, or the error.
+        const auto attempt_cell = [&](unsigned attempt) {
             if (!proc.alive()) {
-                if (!proc.spawn(exe, spec_line)) {
-                    out.done = true;
-                    out.error = "cannot spawn worker " + exe;
-                    break;
-                }
+                const std::string error = proc.spawn(exe, spec_line);
+                if (!error.empty())
+                    return error;
                 note_spawn();
                 send_trace_context();
             }
@@ -476,9 +440,9 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
                 std::chrono::steady_clock::now();
             std::string line;
             RecvStatus received = RecvStatus::Eof;
-            if (proc.send(cellRequestLine(frame_idx, policy_idx,
-                                          attempt)))
-                received = proc.receive(line, spec.cellTimeoutMs);
+            if (proc.sendLine(cellRequestLine(frame_idx, policy_idx,
+                                              attempt)))
+                received = proc.receive(line);
             recordLatencyMs(
                 "gllcd.cell.exec_ms",
                 std::chrono::duration<double, std::milli>(
@@ -486,9 +450,9 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
                     .count());
             if (received != RecvStatus::Line) {
                 // The unanswered request names the killer cell.  A
-                // hung worker (Timeout) must die by SIGKILL first:
-                // it is not reading its pipes, so shutdown()'s reap
-                // would otherwise block on it forever.
+                // hung worker must die by SIGKILL first: it is not
+                // reading its socket, so only the grace period
+                // would end shutdown()'s reap.
                 const bool hung = received == RecvStatus::Timeout;
                 if (hung) {
                     proc.kill();
@@ -501,59 +465,38 @@ runShard(const SweepJobSpec &spec, const std::string &spec_line,
                      hung ? "hung past the cell timeout" : "died",
                      how.c_str(), expect.toString().c_str(),
                      attempt);
-                if (attempt >= max_attempts) {
-                    out.done = true;
-                    out.error = hung
-                        ? "cell exceeded timeout "
-                            + std::to_string(spec.cellTimeoutMs)
-                            + " ms"
-                        : "worker crashed (" + how + ")";
-                    break;
-                }
-                emitCellEvent(telemetry, "cell_retry", expect,
-                              attempt,
-                              hung ? "cell timeout"
-                                   : "worker crashed (" + how + ")");
-                backoffSleep(spec.backoffMs, attempt);
-                continue;
+                return hung ? "cell exceeded timeout "
+                        + std::to_string(spec.cellTimeoutMs) + " ms"
+                            : "worker crashed (" + how + ")";
             }
-
             SweepCell cell;
             if (parseCheckpointCellLine(line, cell)
                 && cell.key == expect) {
-                out.done = true;
-                out.ok = true;
                 out.cell = std::move(cell);
-                break;
+                return std::string();
             }
             FailedCell failed;
             if (parseFailedCellLine(line, failed)
-                && failed.key == expect) {
-                if (attempt >= max_attempts) {
-                    out.done = true;
-                    out.error = failed.error;
-                    break;
-                }
-                emitCellEvent(telemetry, "cell_retry", expect,
-                              attempt, failed.error);
-                backoffSleep(spec.backoffMs, attempt);
-                continue;
-            }
+                && failed.key == expect)
+                return failed.error;
             // Unparseable response: the worker is off the rails;
             // treat it like a crash of this cell.
             const std::string how = proc.shutdown();
             note_crash();
             warn("gllcd worker spoke garbage (%s) on cell %s",
                  how.c_str(), expect.toString().c_str());
-            if (attempt >= max_attempts) {
-                out.done = true;
-                out.error = "worker protocol failure (" + how + ")";
-                break;
-            }
-            emitCellEvent(telemetry, "cell_retry", expect, attempt,
-                          "worker protocol failure");
-            backoffSleep(spec.backoffMs, attempt);
-        }
+            return "worker protocol failure (" + how + ")";
+        };
+        const RetryOutcome run = withRetries(
+            spec.retries + 1, spec.backoffMs, attempt_cell,
+            [&](unsigned attempt, const std::string &error) {
+                emitCellEvent(telemetry, "cell_retry", expect,
+                              attempt, error);
+            });
+        out.done = true;
+        out.ok = run.error.empty();
+        out.error = run.error;
+        out.attempts = run.attempts;
         if (metricsActive())
             MetricsRegistry::instance().recordValue(
                 "gllcd.cell.attempts", out.attempts);
@@ -801,7 +744,8 @@ runSweepWorker()
             error.empty()
                 ? checkpointCellLine(cell)
                 : failedCellLine(cell.key, attempt, error);
-        if (!writeAll(1, reply.data(), reply.size())) {
+        if (!writeAllDeadline(1, reply.data(), reply.size(), 0)
+                 .ok()) {
             rc = 74;  // EX_IOERR: parent is gone
             break;
         }

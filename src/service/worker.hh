@@ -7,7 +7,8 @@
  * a disposable worker, never the service.  So a job's (frame,
  * policy) cells are sharded across worker subprocesses by frame
  * (each frame's trace renders once, in the one worker that owns it)
- * and executed over a line protocol on the worker's stdin/stdout:
+ * and executed over a line protocol on one socketpair per worker,
+ * which the worker sees as its stdin and stdout:
  *
  *   parent -> worker   line 1:  SweepJobSpec::toJson()
  *   parent -> worker   {"trace":{"id":"...","job":N,"epoch_us":E,
@@ -22,17 +23,30 @@
  *   worker -> parent   one line per cell, in request order:
  *                        success: checkpointCellLine() bytes — the
  *                          same sealed line a checkpoint journal
- *                          holds, so a cell survives a pipe exactly
+ *                          holds, so a cell survives the socket
  *                          the way it survives a crash
  *                        failure: {"failed":1,...} sealed the same
  *                          way, carrying the error text
  *
+ * Workers start with posix_spawn: the file actions dup2 the child's
+ * end of the socketpair onto fds 0 and 1 and then closefrom(3), so a
+ * worker holds fds 0-2 only, whatever else the daemon (or a sibling
+ * shard thread spawning at the same moment) has open.  Shutdown
+ * closes the parent's end — EOF to the worker — and reaps, killing
+ * a worker still running kWorkerExitGraceMs later, so no wait on a
+ * worker is unbounded.  All channel IO goes through the deadline
+ * helpers of service/protocol.hh, bounded by the cell timeout.
+ *
  * Requests are strictly request/response, so when a worker dies the
- * unanswered request names the killer cell precisely.  The parent
- * respawns the worker and retries that cell with the job's retry
- * budget (spec.retries, spec.backoffMs — the same semantics the
- * in-process engine applies to throwing cells), then quarantines it
- * and moves on.  A clean job is therefore byte-identical to
+ * unanswered request names the killer cell precisely.  One round
+ * trip (spawn if needed, request, reply) is one attempt under the
+ * one retry rule, withRetries() of analysis/cell_exec: a crashed
+ * worker, a worker hung past the cell timeout, a garbled reply, a
+ * failed spawn and a cell error the worker reports all spend the
+ * job's retry budget (spec.retries, spec.backoffMs) exactly as a
+ * throwing cell does in-process; the worker is respawned for the
+ * next attempt and a cell that exhausts the budget is quarantined.
+ * A clean job is therefore byte-identical to
  * SweepConfig::fromSpec(spec).run() — fewer moving parts than it
  * sounds: both paths run the same cell body and fault sites
  * (analysis/cell_exec) on the same trace.
@@ -117,10 +131,10 @@ runShardedSweep(const SweepJobSpec &spec, unsigned workers,
                 const ShardTelemetry *telemetry = nullptr);
 
 /**
- * Worker-subprocess entry: serve cell requests on stdin/stdout per
- * the protocol above until EOF.  Returns the process exit code (0
- * on an orderly shutdown, EX_DATAERR-style nonzero when the parent
- * speaks garbage).
+ * Worker-subprocess entry: serve cell requests on stdin/stdout (one
+ * socket, as spawned above) per the protocol above until EOF.
+ * Returns the process exit code (0 on an orderly shutdown,
+ * EX_DATAERR-style nonzero when the parent speaks garbage).
  */
 int runSweepWorker();
 

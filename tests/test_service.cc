@@ -1,16 +1,19 @@
 /**
  * @file
  * End-to-end tests of the gllcd sweep service: an in-process
- * SweepDaemon forking real worker subprocesses (the gllcd binary via
- * GLLC_WORKER_EXE), exercised through real sockets.
+ * SweepDaemon spawning real worker subprocesses (the gllcd binary, or
+ * a stand-in script, via GLLC_WORKER_EXE), exercised through real
+ * sockets.
  *
  * The non-negotiable properties under test:
  *  - a served result is byte-identical to an in-process
  *    SweepConfig::fromSpec(spec).run();
  *  - resubmitting an identical job is answered from the result
  *    store without recompute;
- *  - a crashing worker quarantines its cell and never kills the
- *    daemon;
+ *  - a crashing, hanging, garbling or unspawnable worker quarantines
+ *    its cells and never kills the daemon;
+ *  - a worker holds no fd of the daemon or its host, and is reaped
+ *    within a bounded time even when it outlives its socket;
  *  - hostile bytes on the wire come back as typed error frames, and
  *    the daemon keeps serving.
  */
@@ -19,17 +22,21 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <dirent.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -79,6 +86,40 @@ localPayload(const SweepJobSpec &spec)
     return os.str();
 }
 
+/** Write an executable /bin/sh script (a stand-in worker exe). */
+void
+writeScript(const std::string &path, const std::string &body)
+{
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << "#!/bin/sh\n" << body;
+    }
+    ASSERT_EQ(::chmod(path.c_str(), 0755), 0) << path;
+}
+
+/** Link targets of this process's fds >= 3 ("socket:[N]", paths). */
+std::set<std::string>
+openFdTargets()
+{
+    std::set<std::string> targets;
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr)
+        return targets;
+    while (const dirent *entry = ::readdir(dir)) {
+        if (std::atoi(entry->d_name) < 3)
+            continue;
+        char target[4096];
+        const std::string link =
+            std::string("/proc/self/fd/") + entry->d_name;
+        const ssize_t n =
+            ::readlink(link.c_str(), target, sizeof(target) - 1);
+        if (n > 0)
+            targets.insert(std::string(target, n));
+    }
+    ::closedir(dir);
+    return targets;
+}
+
 /** Daemon + socket paths scoped to one test. */
 class ServiceTest : public ::testing::Test
 {
@@ -86,7 +127,7 @@ class ServiceTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Workers fork+exec the gllcd binary (compiled in by CMake);
+        // Workers spawn the gllcd binary (compiled in by CMake);
         // without this the worker exe would be the test binary via
         // /proc/self/exe, which has no --worker mode.
         ::setenv("GLLC_WORKER_EXE", GLLC_GLLCD_PATH, 1);
@@ -1094,4 +1135,248 @@ TEST_F(ServiceTest, StatusAnswersConcurrentlyWithRunningJobs)
 
     EXPECT_GE(status_ok.load(), 1u);
     EXPECT_EQ(daemon_->jobsCompleted(), 2u);
+}
+
+TEST_F(ServiceTest, WorkerOutlivingItsSocketIsKilledAfterTheGrace)
+{
+    // The stand-in serves its cells like any worker, then ignores the
+    // EOF that ends it and sleeps far past this test's ctest timeout.
+    // The reap must give up on it after the exit grace and SIGKILL
+    // it; the job still completes with the right bytes.
+    const std::string script = tempPath("linger.sh");
+    writeScript(script, std::string("\"") + GLLC_GLLCD_PATH
+                            + "\" \"$@\"\nexec sleep 600\n");
+    ::setenv("GLLC_WORKER_EXE", script.c_str(), 1);
+
+    const SweepJobSpec spec = tinySpec();
+    const std::string expected = localPayload(spec);
+    startDaemon();
+    ServiceClient client = connect();
+    const auto start = std::chrono::steady_clock::now();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+    EXPECT_EQ(outcome.value().payload, expected);
+    EXPECT_LT(seconds, 30.0);
+}
+
+TEST_F(ServiceTest, GarbageRepliesQuarantineEveryCellAfterItsBudget)
+{
+    // A worker that reads its spec and then answers every request
+    // with a non-protocol line: each attempt ends as a protocol
+    // failure, the budget is spent, and the daemon survives.
+    const std::string script = tempPath("garbage.sh");
+    writeScript(script, "read -r spec\n"
+                        "while read -r request; do\n"
+                        "  echo 'not a protocol line'\n"
+                        "done\n");
+    ::setenv("GLLC_WORKER_EXE", script.c_str(), 1);
+
+    SweepJobSpec spec = tinySpec();
+    spec.retries = 2;
+    DaemonOptions options;
+    options.workers = 2;
+    options.eventLogPath = tempPath("garbage_events.jsonl");
+    startDaemonWith(options);
+    ServiceClient client = connect();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 2u);
+    const std::string &payload = outcome.value().payload;
+    const std::string quarantine =
+        "\"attempts\": 3, \"error\": \"worker protocol failure (";
+    const std::size_t first = payload.find(quarantine);
+    ASSERT_NE(first, std::string::npos) << payload;
+    EXPECT_NE(payload.find(quarantine, first + 1), std::string::npos)
+        << payload;
+    EXPECT_EQ(daemon_->workerCrashes(), 6u);
+
+    // Every retry event carries the failed attempt's own error, the
+    // text a quarantine of that attempt would record.
+    std::ifstream events(options.eventLogPath);
+    std::string line;
+    unsigned retries = 0;
+    while (std::getline(events, line)) {
+        Result<JsonValue> event = parseJson(line);
+        ASSERT_TRUE(event.ok()) << line;
+        if (event.value().find("event")->string() != "cell_retry")
+            continue;
+        ++retries;
+        ASSERT_NE(event.value().find("error"), nullptr) << line;
+        EXPECT_EQ(event.value().find("error")->string().rfind(
+                      "worker protocol failure (", 0),
+                  0u)
+            << line;
+    }
+    EXPECT_EQ(retries, 4u);
+
+    // Back to the real worker: the same daemon serves a clean job.
+    ::setenv("GLLC_WORKER_EXE", GLLC_GLLCD_PATH, 1);
+    Result<SubmitOutcome> clean = client.submit(spec);
+    ASSERT_TRUE(clean.ok()) << clean.error().toString();
+    EXPECT_EQ(clean.value().header.quarantined, 0u);
+    EXPECT_EQ(clean.value().payload, localPayload(spec));
+}
+
+TEST_F(ServiceTest, UnspawnableWorkerIsAnOrdinaryFailedAttempt)
+{
+    // A worker exe that cannot start costs each cell its attempts
+    // like any other failure, then quarantines it; nothing crashed.
+    ::setenv("GLLC_WORKER_EXE", tempPath("no_such_worker").c_str(), 1);
+    SweepJobSpec spec = tinySpec();
+    spec.retries = 1;
+    startDaemon();
+    ServiceClient client = connect();
+    Result<SubmitOutcome> outcome = client.submit(spec);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 2u);
+    EXPECT_NE(outcome.value().payload.find(
+                  "\"attempts\": 2, \"error\": \"cannot spawn worker "),
+              std::string::npos)
+        << outcome.value().payload;
+    EXPECT_EQ(daemon_->workerCrashes(), 0u);
+}
+
+TEST_F(ServiceTest, WorkersHoldNoFdOfTheDaemonOrItsHost)
+{
+    // A deliberately leaky fd: a pipe without O_CLOEXEC.
+    int leaky[2];
+    ASSERT_EQ(::pipe(leaky), 0);
+
+    // The stand-in records the link target of every fd it was
+    // started with, then becomes the real worker.
+    const std::string fd_dir = tempPath("worker_fds");
+    ASSERT_EQ(::mkdir(fd_dir.c_str(), 0755), 0);
+    const std::string script = tempPath("fds.sh");
+    writeScript(script, "ls -l /proc/$$/fd > \"" + fd_dir
+                            + "/$$\"\nexec \"" + GLLC_GLLCD_PATH
+                            + "\" \"$@\"\n");
+    ::setenv("GLLC_WORKER_EXE", script.c_str(), 1);
+
+    DaemonOptions options;
+    options.workers = 2;
+    options.journalPath = tempPath("fds.wal");
+    options.eventLogPath = tempPath("fds_events.jsonl");
+    startDaemonWith(options);
+    ServiceClient client = connect();
+    Result<SubmitOutcome> outcome = client.submit(tinySpec());
+    ASSERT_TRUE(outcome.ok()) << outcome.error().toString();
+    EXPECT_EQ(outcome.value().header.quarantined, 0u);
+
+    // Everything this process holds: the leaky pipe, the daemon's
+    // listen socket, journal and event log, the client connection.
+    const std::set<std::string> held = openFdTargets();
+    const auto target_of = [](int fd) {
+        char target[4096];
+        const std::string link = "/proc/self/fd/" + std::to_string(fd);
+        const ssize_t n =
+            ::readlink(link.c_str(), target, sizeof(target) - 1);
+        return n > 0 ? std::string(target, n) : std::string();
+    };
+    const auto canonical = [](const std::string &path) {
+        char resolved[PATH_MAX];
+        return ::realpath(path.c_str(), resolved) != nullptr
+            ? std::string(resolved) : path;
+    };
+    ASSERT_EQ(held.count(target_of(leaky[0])), 1u);
+    ASSERT_EQ(held.count(canonical(options.journalPath)), 1u);
+    ASSERT_EQ(held.count(canonical(options.eventLogPath)), 1u);
+
+    unsigned workers_seen = 0;
+    DIR *dir = ::opendir(fd_dir.c_str());
+    ASSERT_NE(dir, nullptr);
+    while (const dirent *entry = ::readdir(dir)) {
+        if (entry->d_name[0] == '.')
+            continue;
+        ++workers_seen;
+        std::ifstream in(fd_dir + "/" + entry->d_name);
+        std::string line;
+        while (std::getline(in, line)) {
+            const std::size_t arrow = line.find(" -> ");
+            if (arrow == std::string::npos)
+                continue;
+            const std::size_t space = line.rfind(' ', arrow - 1);
+            const int fd = std::atoi(line.c_str() + space + 1);
+            const std::string target = line.substr(arrow + 4);
+            if (fd < 3)
+                continue;
+            EXPECT_EQ(held.count(target), 0u)
+                << "worker " << entry->d_name << " holds fd " << fd
+                << " -> " << target;
+        }
+    }
+    ::closedir(dir);
+    EXPECT_EQ(workers_seen, 2u);
+    ::close(leaky[0]);
+    ::close(leaky[1]);
+}
+
+TEST_F(ServiceTest, ConcurrentClientsStressFourWorkers)
+{
+    // Four clients, six distinct four-frame jobs each, four workers.
+    // Every job must finish inside its own deadline with the bytes of
+    // an in-process run; a hang fails here, not at the ctest timeout.
+    constexpr unsigned kClients = 4;
+    constexpr unsigned kJobsPerClient = 6;
+    constexpr double kJobDeadlineS = 30.0;
+    const std::vector<std::string> policies = {"DRRIP+UCD", "NRU",
+                                               "GSPC", "DRRIP"};
+    std::vector<SweepJobSpec> specs;
+    for (unsigned j = 0; j < kClients * kJobsPerClient; ++j) {
+        SweepJobSpec spec = tinySpec();
+        spec.frames.clear();
+        for (std::uint32_t f = 0; f < 4; ++f)
+            spec.frames.push_back({paperApps()[0].name, f});
+        spec.policies = {policies[j % policies.size()]};
+        spec.llcBytes = (1ull << 20) << (j / policies.size());
+        // The worker-side bound of the same deadline.
+        spec.cellTimeoutMs = 20000;
+        specs.push_back(spec);
+    }
+
+    DaemonOptions options;
+    options.workers = 4;
+    startDaemonWith(options);
+    std::vector<std::future<std::vector<std::string>>> clients;
+    for (unsigned c = 0; c < kClients; ++c) {
+        clients.push_back(std::async(std::launch::async, [&, c] {
+            std::vector<std::string> payloads;
+            ServiceClient client = connect();
+            for (unsigned j = 0; j < kJobsPerClient; ++j) {
+                const auto start = std::chrono::steady_clock::now();
+                Result<SubmitOutcome> got = client.submit(
+                    specs[c * kJobsPerClient + j],
+                    "tenant-" + std::to_string(c));
+                EXPECT_LT(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count(),
+                          kJobDeadlineS);
+                EXPECT_TRUE(got.ok()) << got.error().toString();
+                payloads.push_back(got.ok() ? got.value().payload : "");
+            }
+            return payloads;
+        }));
+    }
+    // Stopping the daemon releases every blocked client, so a missed
+    // deadline fails the test instead of hanging it.
+    const auto give_up = std::chrono::steady_clock::now()
+        + std::chrono::seconds(90);
+    for (auto &client : clients) {
+        if (client.wait_until(give_up) != std::future_status::ready) {
+            ADD_FAILURE() << "clients still waiting after 90 s";
+            daemon_->stop();
+            break;
+        }
+    }
+    for (unsigned c = 0; c < kClients; ++c) {
+        const std::vector<std::string> payloads = clients[c].get();
+        for (unsigned j = 0; j < payloads.size(); ++j)
+            EXPECT_EQ(payloads[j],
+                      localPayload(specs[c * kJobsPerClient + j]))
+                << "client " << c << " job " << j;
+    }
 }

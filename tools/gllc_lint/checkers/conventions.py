@@ -28,12 +28,20 @@ RAW_SOCKET_IO = re.compile(
     r"(?<![\w.>])(?:::)?(?:read|write|recv|send|readv|writev|"
     r"recvmsg|sendmsg)\s*\(")
 
-# Service files exempt from the deadline-IO rule: protocol.cc
-# implements the deadline wrappers themselves, and worker.cc talks to
-# its forked worker over a pipe it owns end to end (bounded by the
-# cell timeout, not a connection deadline).
+# The one service file exempt from the deadline-IO rule: protocol.cc
+# implements the deadline wrappers themselves.
 CONN_DEADLINE_ALLOWLIST = {
     Path("src/service/protocol.cc"),
+}
+
+PROCESS_SPAWN = re.compile(
+    r"(?<![\w.>:])(?:::|std::)?(fork|vfork|execl|execle|execlp|execv|"
+    r"execve|execvp|execvpe|fexecve|popen|system|pipe|pipe2|"
+    r"posix_spawnp?)\s*\(")
+
+# The one place a child process starts: WorkerProcess::spawn, whose
+# posix_spawn file actions leave the child holding fds 0-2 only.
+SPAWN_ALLOWLIST = {
     Path("src/service/worker.cc"),
 }
 
@@ -125,6 +133,33 @@ class ConnDeadline:
                     "(readFrame/writeFrame with timeout_ms, "
                     "readSomeDeadline/writeAllDeadline) so a slow "
                     "client cannot pin this thread")
+
+
+@register
+class ProcessSpawn:
+    """Every child process starts through WorkerProcess::spawn, whose
+    posix_spawn file actions close every fd above 2 in the child.  A
+    bare fork/exec, popen/system or pipe elsewhere would hand a child
+    whatever the daemon has open (listen sockets, the journal,
+    sibling workers' channels) and let a leak withhold an EOF."""
+
+    name = "process-spawn"
+    description = ("fork/exec/popen/system/pipe in src/; spawn "
+                   "children through WorkerProcess::spawn")
+
+    def check_file(self, ctx):
+        if ctx.rel.parts[0] != "src":
+            return
+        for lineno, line in enumerate(ctx.code_lines, start=1):
+            for match in PROCESS_SPAWN.finditer(line):
+                if (match.group(1).startswith("posix_spawn")
+                        and ctx.rel in SPAWN_ALLOWLIST):
+                    continue
+                yield Finding(
+                    self.name, str(ctx.rel), lineno,
+                    f"{match.group(1)}() in src/; start children only "
+                    "through WorkerProcess::spawn (service/worker.cc), "
+                    "whose posix_spawn leaves them fds 0-2 only")
 
 
 @register

@@ -101,13 +101,45 @@ class TestConventions(LintFixture):
 
     def test_conn_deadline_allowlists_and_scope(self):
         raw = "void f(int fd) { char c; ::recv(fd, &c, 1, 0); }\n"
-        # The wrapper implementation and the pipe-owning worker are
-        # exempt; so is everything outside src/service/.
+        # Only the wrapper implementation is exempt, plus everything
+        # outside src/service/; the worker channel uses the wrappers.
         self.write("src/service/protocol.cc", raw)
         self.write("src/service/worker.cc", raw)
         self.write("src/common/io.cc", raw)
         self.write("tests/t.cc", raw)
-        self.assertEqual(self.run_checker("conn-deadline"), [])
+        findings = self.run_checker("conn-deadline")
+        self.assertEqual([f.path for f in findings],
+                         ["src/service/worker.cc"])
+
+    def test_process_spawn_flags_every_spawn_primitive(self):
+        self.write("src/service/daemon.cc",
+                   "void f() { int p[2]; ::pipe(p);\n"
+                   "    pipe2(p, 0);\n"
+                   "    if (::fork() == 0) execv(a, v);\n"
+                   "    std::system(\"ls\"); popen(c, \"r\");\n"
+                   "    vfork(); execvp(a, v); }\n")
+        findings = self.run_checker("process-spawn")
+        self.assertEqual(
+            [(f.path, f.line) for f in findings],
+            [("src/service/daemon.cc", 1), ("src/service/daemon.cc", 2),
+             ("src/service/daemon.cc", 3), ("src/service/daemon.cc", 3),
+             ("src/service/daemon.cc", 4), ("src/service/daemon.cc", 4),
+             ("src/service/daemon.cc", 5), ("src/service/daemon.cc", 5)])
+
+    def test_process_spawn_allows_only_the_worker_posix_spawn(self):
+        spawn = ("void f() { posix_spawn(&pid, exe, &fa, nullptr, argv,"
+                 " environ);\n    posix_spawn_file_actions_init(&fa); }\n")
+        self.write("src/service/worker.cc",
+                   spawn + "void g() { ::fork(); }\n")
+        self.write("src/service/daemon.cc", spawn)
+        # Outside src/, and methods or lookalike names, are not spawns.
+        self.write("tests/t.cc", "void f() { ::fork(); ::pipe(p); }\n")
+        self.write("src/common/rng.cc",
+                   "Rng f(Rng &r) { pipeline(); return r.fork(1); }\n")
+        findings = self.run_checker("process-spawn")
+        self.assertEqual([(f.path, f.line) for f in findings],
+                         [("src/service/daemon.cc", 1),
+                          ("src/service/worker.cc", 3)])
 
     def test_conn_deadline_ignores_methods_and_wrappers(self):
         self.write("src/service/daemon.cc",
