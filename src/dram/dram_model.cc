@@ -1,6 +1,9 @@
 #include "dram/dram_model.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/fault.hh"
@@ -56,9 +59,16 @@ DramModel::DramModel(const DramConfig &config)
     : config_(config)
 {
     GLLC_ASSERT(config.channels > 0 && config.banksPerChannel > 0);
-    GLLC_ASSERT((config.channels & (config.channels - 1)) == 0);
-    GLLC_ASSERT(
-        (config.banksPerChannel & (config.banksPerChannel - 1)) == 0);
+    GLLC_ASSERT(std::has_single_bit(config.channels));
+    GLLC_ASSERT(std::has_single_bit(config.banksPerChannel));
+    GLLC_ASSERT(std::has_single_bit(config.rowBytes / kBlockBytes));
+    channelShift_ = static_cast<unsigned>(
+        std::countr_zero(config.channels));
+    rowShift_ = static_cast<unsigned>(
+        std::countr_zero(config.rowBytes / kBlockBytes));
+    bankShift_ = static_cast<unsigned>(
+        std::countr_zero(config.banksPerChannel));
+    GLLC_ASSERT(channelShift_ + rowShift_ + bankShift_ < 64);
 }
 
 std::uint32_t
@@ -73,9 +83,8 @@ DramModel::channelOf(Addr addr) const
 std::uint32_t
 DramModel::bankOf(Addr addr) const
 {
-    const std::uint64_t blocks_per_row = config_.rowBytes / kBlockBytes;
     const std::uint64_t row_seq =
-        (blockNumber(addr) / config_.channels) / blocks_per_row;
+        blockNumber(addr) >> (channelShift_ + rowShift_);
     return static_cast<std::uint32_t>(row_seq
                                       & (config_.banksPerChannel - 1));
 }
@@ -83,9 +92,8 @@ DramModel::bankOf(Addr addr) const
 std::uint64_t
 DramModel::rowOf(Addr addr) const
 {
-    const std::uint64_t blocks_per_row = config_.rowBytes / kBlockBytes;
-    return (blockNumber(addr) / config_.channels) / blocks_per_row
-        / config_.banksPerChannel;
+    return blockNumber(addr)
+        >> (channelShift_ + rowShift_ + bankShift_);
 }
 
 DramStats
@@ -111,8 +119,16 @@ DramModel::simulate(const std::vector<DramRequest> &requests)
     std::vector<BankState> banks(
         static_cast<std::size_t>(nch) * nbank);
     std::vector<std::uint64_t> bus_free(nch, 0);
-    std::vector<bool> last_was_write(nch, false);
+    std::vector<std::uint8_t> last_was_write(nch, 0);
     std::vector<std::uint64_t> refresh_done(nch, 0);
+    // First cycle of the next refresh window per channel, so the
+    // common no-crossing case is one compare and no division.
+    std::vector<std::uint64_t> next_refresh(nch, config_.tRefi);
+
+    const std::uint64_t ch_mask = nch - 1;
+    const std::uint64_t bank_mask = nbank - 1;
+    const unsigned bank_shift = channelShift_ + rowShift_;
+    const unsigned row_shift = bank_shift + bankShift_;
 
     // Per-channel stats + per-(channel, bank) request counts (the
     // bank-level-parallelism view), kept only while metrics are on.
@@ -128,17 +144,21 @@ DramModel::simulate(const std::vector<DramRequest> &requests)
         GLLC_ASSERT(req.arrival >= last_arrival);
         last_arrival = req.arrival;
 
-        const std::uint32_t ch = channelOf(req.addr);
-        const std::uint32_t bk = bankOf(req.addr);
-        const std::uint64_t row = rowOf(req.addr);
+        // channelOf / bankOf / rowOf, inlined.
+        const std::uint64_t block = blockNumber(req.addr);
+        const auto ch = static_cast<std::uint32_t>(block & ch_mask);
+        const auto bk =
+            static_cast<std::uint32_t>((block >> bank_shift) & bank_mask);
+        const std::uint64_t row = block >> row_shift;
         BankState &bank = banks[static_cast<std::size_t>(ch) * nbank
                                 + bk];
 
         std::uint64_t start = std::max(req.arrival, bank.ready);
 
         // All-bank refresh: when the schedule crosses a tREFI
-        // boundary the channel stalls for tRFC and every row closes.
-        if (config_.tRefi != 0) {
+        // boundary (start / tRefi > refresh_done) the channel stalls
+        // for tRFC and every row closes.
+        if (config_.tRefi != 0 && start >= next_refresh[ch]) {
             const std::uint64_t window = start / config_.tRefi;
             if (window > refresh_done[ch]) {
                 refresh_done[ch] = window;
@@ -149,6 +169,13 @@ DramModel::simulate(const std::vector<DramRequest> &requests)
                         .open = false;
                 }
             }
+            // (refresh_done + 1) * tRefi, saturated: at the top of
+            // the range the division above stays the exact test.
+            if (__builtin_mul_overflow(refresh_done[ch] + 1,
+                                       std::uint64_t{config_.tRefi},
+                                       &next_refresh[ch]))
+                next_refresh[ch] =
+                    std::numeric_limits<std::uint64_t>::max();
         }
 
         // Row misses pay precharge + activate before the CAS; row

@@ -146,6 +146,9 @@ class DramModel
     const DramConfig &config() const { return config_; }
 
     /// @name Address mapping (exposed for tests)
+    /// Block-interleaved channels, then rowBytes of consecutive
+    /// per-channel blocks per row, rows rotating across banks.  Every
+    /// factor is a power of two, so the mapping is shifts and masks.
     /// @{
     std::uint32_t channelOf(Addr addr) const;
     std::uint32_t bankOf(Addr addr) const;
@@ -164,6 +167,11 @@ class DramModel
         const std::vector<std::uint64_t> &bank_requests) const;
 
     DramConfig config_;
+
+    /// log2 of channels, of blocks per row and of banks per channel.
+    unsigned channelShift_ = 0;
+    unsigned rowShift_ = 0;
+    unsigned bankShift_ = 0;
 };
 
 } // namespace gllc

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -16,47 +17,37 @@ namespace
 {
 
 constexpr char kMagicPrefix[7] = {'G', 'L', 'L', 'C', 'T', 'R', 'C'};
-constexpr char kVersion1 = '1';
-constexpr char kVersion2 = '2';
+constexpr char kVersion = '3';
 
 /** Sanity caps: declared sizes beyond these are corruption. */
 constexpr std::uint32_t kMaxNameLen = 1u << 20;
 constexpr std::uint64_t kMaxAccessCount = 1ull << 32;
 
-/** Stream writer that checksums every byte it emits. */
-struct SectionWriter
+/** Header fields, serialized into memory so they checksum at once. */
+struct HeaderWriter
 {
-    std::ostream &os;
-    std::uint64_t hash = kFnvOffset;
-
-    void
-    write(const void *data, std::size_t n)
-    {
-        os.write(static_cast<const char *>(data),
-                 static_cast<std::streamsize>(n));
-        hash = fnv1a64(data, n, hash);
-    }
+    std::string bytes;
 
     template <typename T>
     void
     pod(const T &value)
     {
-        write(&value, sizeof(T));
+        bytes.append(reinterpret_cast<const char *>(&value), sizeof(T));
     }
 
     void
     str(const std::string &s)
     {
         pod<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-        write(s.data(), s.size());
+        bytes.append(s);
     }
 };
 
-/** Stream reader that checksums every byte it consumes. */
-struct SectionReader
+/** Stream reader that keeps every byte it consumes for the checksum. */
+struct HeaderReader
 {
     std::istream &is;
-    std::uint64_t hash = kFnvOffset;
+    std::string bytes;
 
     bool
     read(void *dst, std::size_t n)
@@ -65,7 +56,7 @@ struct SectionReader
                 static_cast<std::streamsize>(n));
         if (static_cast<std::size_t>(is.gcount()) != n)
             return false;
-        hash = fnv1a64(dst, n, hash);
+        bytes.append(static_cast<const char *>(dst), n);
         return true;
     }
 
@@ -86,6 +77,18 @@ readRawU64(std::istream &is, std::uint64_t &value)
 }
 
 Error
+checksumError(const char *section, std::uint64_t stored,
+              std::uint64_t computed)
+{
+    return Error::format(ErrorCode::ChecksumMismatch,
+                         "%s checksum mismatch "
+                         "(stored %016llx, computed %016llx)",
+                         section,
+                         static_cast<unsigned long long>(stored),
+                         static_cast<unsigned long long>(computed));
+}
+
+Error
 truncatedError(const char *what)
 {
     return Error::format(ErrorCode::Truncated,
@@ -99,9 +102,9 @@ void
 writeTrace(const FrameTrace &trace, std::ostream &os)
 {
     os.write(kMagicPrefix, sizeof(kMagicPrefix));
-    os.put(kVersion2);
+    os.put(kVersion);
 
-    SectionWriter header{os};
+    HeaderWriter header;
     header.str(trace.name);
     header.str(trace.app);
     header.pod<std::uint32_t>(trace.frameIndex);
@@ -113,17 +116,21 @@ writeTrace(const FrameTrace &trace, std::ostream &os)
     header.pod<std::uint64_t>(trace.work.issueCycles);
     header.pod<std::uint64_t>(
         static_cast<std::uint64_t>(trace.accesses.size()));
-    os.write(reinterpret_cast<const char *>(&header.hash),
-             sizeof(header.hash));
+    const std::uint64_t header_sum =
+        checksum64(header.bytes.data(), header.bytes.size());
+    os.write(header.bytes.data(),
+             static_cast<std::streamsize>(header.bytes.size()));
+    os.write(reinterpret_cast<const char *>(&header_sum),
+             sizeof(header_sum));
 
     const std::size_t record_bytes =
         trace.accesses.size() * sizeof(MemAccess);
     os.write(reinterpret_cast<const char *>(trace.accesses.data()),
              static_cast<std::streamsize>(record_bytes));
-    const std::uint64_t record_hash =
-        fnv1a64(trace.accesses.data(), record_bytes);
-    os.write(reinterpret_cast<const char *>(&record_hash),
-             sizeof(record_hash));
+    const std::uint64_t record_sum =
+        checksum64(trace.accesses.data(), record_bytes);
+    os.write(reinterpret_cast<const char *>(&record_sum),
+             sizeof(record_sum));
 }
 
 Result<Unit>
@@ -160,13 +167,12 @@ tryReadTrace(std::istream &is)
     if (std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0)
         return Error(ErrorCode::BadMagic,
                      "not a gllc trace file (bad magic)");
-    const char version = magic[7];
-    if (version != kVersion1 && version != kVersion2)
+    if (magic[7] != kVersion)
         return Error::format(ErrorCode::BadVersion,
                              "unsupported trace version '%c'",
-                             version);
+                             magic[7]);
 
-    SectionReader header{is};
+    HeaderReader header{is, {}};
     FrameTrace trace;
     for (std::string *s : {&trace.name, &trace.app}) {
         std::uint32_t len = 0;
@@ -198,18 +204,13 @@ tryReadTrace(std::istream &is)
             "absurd access count %llu (corrupt header)",
             static_cast<unsigned long long>(count));
 
-    if (version == kVersion2) {
-        std::uint64_t stored = 0;
-        if (!readRawU64(is, stored))
-            return truncatedError("the header checksum");
-        if (stored != header.hash)
-            return Error::format(
-                ErrorCode::ChecksumMismatch,
-                "header checksum mismatch "
-                "(stored %016llx, computed %016llx)",
-                static_cast<unsigned long long>(stored),
-                static_cast<unsigned long long>(header.hash));
-    }
+    std::uint64_t stored = 0;
+    if (!readRawU64(is, stored))
+        return truncatedError("the header checksum");
+    const std::uint64_t header_sum =
+        checksum64(header.bytes.data(), header.bytes.size());
+    if (stored != header_sum)
+        return checksumError("header", stored, header_sum);
 
     if (faultFires(FaultSite::TraceTruncate))
         return Error(ErrorCode::Truncated,
@@ -234,23 +235,15 @@ tryReadTrace(std::istream &is)
             static_cast<unsigned char>(1u << (bit % 8));
     }
 
-    if (version == kVersion2) {
-        std::uint64_t stored = 0;
-        if (!readRawU64(is, stored))
-            return truncatedError("the record checksum");
-        const std::uint64_t computed =
-            fnv1a64(trace.accesses.data(), record_bytes);
-        if (stored != computed)
-            return Error::format(
-                ErrorCode::ChecksumMismatch,
-                "record checksum mismatch "
-                "(stored %016llx, computed %016llx)",
-                static_cast<unsigned long long>(stored),
-                static_cast<unsigned long long>(computed));
-    }
+    if (!readRawU64(is, stored))
+        return truncatedError("the record checksum");
+    const std::uint64_t record_sum =
+        checksum64(trace.accesses.data(), record_bytes);
+    if (stored != record_sum)
+        return checksumError("record", stored, record_sum);
 
-    // Bounds of every record: the one corruption a checksum-free
-    // version-1 trace can still reveal.
+    // A record that passed its checksum but names no stream was
+    // written corrupt; reject it rather than index out of range.
     for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
         const auto tag =
             static_cast<std::size_t>(trace.accesses[i].stream);

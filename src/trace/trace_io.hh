@@ -4,22 +4,25 @@
  *
  * Generating a frame trace costs far more than replaying it, so the
  * harnesses can cache traces on disk: `tracegen` writes them and any
- * replay tool loads them back.  The format is a fixed little-endian
- * header followed by the packed MemAccess records; version 2 adds a
- * per-section FNV-1a checksum so bit rot in a cached trace is
+ * replay tool loads them back.  The format (version 3) is a fixed
+ * little-endian header followed by the packed MemAccess records, each
+ * section followed by its checksum so bit rot in a cached trace is
  * detected instead of silently skewing results:
  *
- *   magic    "GLLCTRC2"                      8 bytes
+ *   magic    "GLLCTRC3"                      8 bytes
  *   names    u32 length + bytes, twice       (trace name, app name)
  *   u32      frameIndex
  *   u64 x 6  FrameWork counters
  *   u64      access count
- *   u64      header checksum (fnv1a64 of the bytes after the magic)
+ *   u64      header checksum (checksum64 of the bytes after the magic)
  *   records  16-byte MemAccess entries
- *   u64      record checksum (fnv1a64 of the record bytes)
+ *   u64      record checksum (checksum64 of the record bytes)
  *
- * Readers also accept the checksum-free version-1 layout ("GLLCTRC1")
- * written before this scheme existed.
+ * checksum64 (common/hash.hh) runs four interleaved FNV-1a lanes over
+ * 8-byte words, an FNV-1a tail seeded by the length and a mix64 fold;
+ * any single flipped bit changes it.  Readers accept version 3 only:
+ * the checksum-free "GLLCTRC1" and the byte-serial FNV-1a "GLLCTRC2"
+ * files fail with BadVersion, and the trace cache regenerates them.
  *
  * Robustness contract: the try* readers never abort.  Malformed
  * input of any kind — wrong magic, unsupported version, truncation,

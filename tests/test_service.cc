@@ -35,6 +35,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -43,6 +44,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/report.hh"
 #include "analysis/sweep.hh"
@@ -140,13 +142,22 @@ class ServiceTest : public ::testing::Test
     {
         ::unsetenv("GLLC_FAULT");
         configureFaults("");
+        // Stop the daemon first: it owns the socket, store and logs.
+        daemon_.reset();
+        for (const std::string &path : temp_paths_) {
+            std::error_code ignored;
+            std::filesystem::remove_all(path, ignored);
+        }
     }
 
+    /** A per-test path under TMPDIR, removed again in TearDown. */
     std::string
     tempPath(const std::string &leaf)
     {
-        return ::testing::TempDir() + "/gllc_svc_"
+        std::string path = ::testing::TempDir() + "/gllc_svc_"
             + std::to_string(::getpid()) + "_" + leaf;
+        temp_paths_.push_back(path);
+        return path;
     }
 
     /** Start a daemon on a fresh Unix socket (no result store). */
@@ -182,6 +193,7 @@ class ServiceTest : public ::testing::Test
     }
 
     std::unique_ptr<SweepDaemon> daemon_;
+    std::vector<std::string> temp_paths_;
 };
 
 } // namespace
