@@ -92,20 +92,6 @@ Characterizer::installInto(BlockMeta &meta, const MemAccess &access)
 }
 
 void
-Characterizer::onMiss(const MemAccess &access)
-{
-    // The cache always fills on a (non-bypassed) miss.
-    installInto(meta_[blockNumber(access.addr)], access);
-}
-
-void
-Characterizer::onHit(const MemAccess &access)
-{
-    hitBlock(meta_[blockNumber(access.addr)],
-             policyStream(access.stream));
-}
-
-void
 Characterizer::hitBlock(BlockMeta &meta, PolicyStream ps)
 {
     if (ps == PolicyStream::Texture) {
@@ -157,12 +143,6 @@ Characterizer::hitBlock(BlockMeta &meta, PolicyStream ps)
             ++meta.hits;
         return;
     }
-}
-
-void
-Characterizer::onEvict(Addr block_addr)
-{
-    meta_.erase(blockNumber(block_addr));
 }
 
 } // namespace gllc

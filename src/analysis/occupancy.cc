@@ -1,7 +1,5 @@
 #include "analysis/occupancy.hh"
 
-#include <unordered_map>
-
 #include "cache/policy/belady.hh"
 #include "common/logging.hh"
 
@@ -11,32 +9,41 @@ namespace gllc
 namespace
 {
 
-/** Observer maintaining per-stream resident block counts. */
-class OccupancyObserver : public LlcObserver
+/**
+ * Observer maintaining per-stream resident block counts: one owner
+ * byte per LLC frame (kNoOwner when empty) plus the counts.
+ */
+class OccupancyObserver
 {
   public:
-    void
-    onMiss(const MemAccess &access) override
+    explicit OccupancyObserver(std::size_t frames)
+        : owner_(frames, kNoOwner)
     {
-        // The cache will fill this block.
-        setOwner(blockNumber(access.addr), access.stream);
     }
 
     void
-    onHit(const MemAccess &access) override
+    onHitAt(const MemAccess &access, std::size_t frame)
     {
         // Ownership follows use: a texture hit to a render target
         // re-attributes the block (dynamic texturing).
-        setOwner(blockNumber(access.addr), access.stream);
+        setOwner(frame, access.stream);
     }
 
     void
-    onEvict(Addr block_addr) override
+    onMissAt(const MemAccess &access, std::size_t frame)
     {
-        const auto it = owner_.find(blockNumber(block_addr));
-        if (it != owner_.end()) {
-            --counts_[static_cast<std::size_t>(it->second)];
-            owner_.erase(it);
+        // The cache fills this frame.
+        setOwner(frame, access.stream);
+    }
+
+    void onBypass(const MemAccess &) {}
+
+    void
+    onEvictAt(Addr, std::size_t frame)
+    {
+        if (owner_[frame] != kNoOwner) {
+            --counts_[owner_[frame]];
+            owner_[frame] = kNoOwner;
         }
     }
 
@@ -47,22 +54,21 @@ class OccupancyObserver : public LlcObserver
     }
 
   private:
+    static constexpr std::uint8_t kNoOwner = 0xff;
+
     void
-    setOwner(Addr block, StreamType stream)
+    setOwner(std::size_t frame, StreamType stream)
     {
-        const auto it = owner_.find(block);
-        if (it != owner_.end()) {
-            if (it->second == stream)
-                return;
-            --counts_[static_cast<std::size_t>(it->second)];
-            it->second = stream;
-        } else {
-            owner_.emplace(block, stream);
-        }
-        ++counts_[static_cast<std::size_t>(stream)];
+        const auto s = static_cast<std::uint8_t>(stream);
+        if (owner_[frame] == s)
+            return;
+        if (owner_[frame] != kNoOwner)
+            --counts_[owner_[frame]];
+        owner_[frame] = s;
+        ++counts_[s];
     }
 
-    std::unordered_map<Addr, StreamType> owner_;
+    std::vector<std::uint8_t> owner_;
     std::array<std::uint32_t, kNumStreams> counts_{};
 };
 
@@ -80,8 +86,7 @@ trackOccupancy(const FrameTrace &trace, const PolicySpec &spec,
         config.uncachedDisplay = true;
     BankedLlc llc(config, spec.factory);
 
-    OccupancyObserver observer;
-    llc.setObserver(&observer);
+    OccupancyObserver observer(llc.geometry().totalBlocks());
 
     std::vector<std::uint64_t> oracle;
     if (spec.needsOracle)
@@ -93,7 +98,7 @@ trackOccupancy(const FrameTrace &trace, const PolicySpec &spec,
     std::vector<OccupancySample> samples;
     for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
         llc.access(trace.accesses[i], i,
-                   spec.needsOracle ? oracle[i] : kNever);
+                   spec.needsOracle ? oracle[i] : kNever, observer);
         const bool last = (i + 1 == trace.accesses.size());
         if (((i + 1) % period == 0 && samples.size() + 1 < sample_count)
             || last) {

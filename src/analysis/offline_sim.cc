@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "cache/policy/belady.hh"
 #include "common/audit.hh"
-#include "common/env.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -17,37 +17,30 @@ namespace gllc
 namespace
 {
 
-/** GLLC_NO_FASTPATH=1 disables the specialized path process-wide. */
-bool
-fastPathDisabledByEnv()
-{
-    static const bool disabled = envInt("GLLC_NO_FASTPATH", 0) != 0;
-    return disabled;
-}
-
 /**
- * Accesses per inner-loop chunk on the fast path.  Fault-site and
- * collection bookkeeping happen at chunk boundaries; the inner loop
- * is pure access servicing.
+ * Accesses per inner-loop chunk.  Fault-site and collection
+ * bookkeeping happen at chunk boundaries; the inner loop is pure
+ * access servicing.
  */
 constexpr std::size_t kReplayChunk = 4096;
 
 /**
- * The specialized replay loop.  All per-replay mode flags are
- * template parameters, so each instantiation's inner loop carries no
+ * The replay loop.  All per-replay mode flags are template
+ * parameters, so each instantiation's inner loop carries no
  * disabled-feature branches and calls the Characterizer hooks
- * directly (devirtualized: the class is final).
+ * directly.
  *
- * @tparam kUcd     uncached-displayable-color bypass configured
- * @tparam kOracle  policy consumes Belady next-use indices
- * @tparam kDram    collect the DRAM-bound access trace
+ * @tparam kUcd      uncached-displayable-color bypass configured
+ * @tparam kChecked  BankedLlc::checked(): audit or decision log live
+ * @tparam kOracle   policy consumes Belady next-use indices
+ * @tparam kDram     collect the DRAM-bound access trace
  */
-template <bool kUcd, bool kOracle, bool kDram>
+template <bool kUcd, bool kChecked, bool kOracle, bool kDram>
 void
-replayHot(BankedLlc &llc, const FrameTrace &trace,
-          const std::vector<std::uint64_t> &oracle,
-          Characterizer &characterizer, std::size_t stop_at,
-          RunResult &result)
+replay(BankedLlc &llc, const FrameTrace &trace,
+       const std::vector<std::uint64_t> &oracle,
+       Characterizer &characterizer, std::size_t stop_at,
+       RunResult &result)
 {
     characterizer.bindFrames(llc.geometry().totalBlocks());
     const MemAccess *accesses = trace.accesses.data();
@@ -61,10 +54,13 @@ replayHot(BankedLlc &llc, const FrameTrace &trace,
             const MemAccess &a = accesses[i];
             const std::uint64_t next_use =
                 kOracle ? oracle[i] : kNever;
-            const LlcAccessResult r =
-                llc.accessHot<kUcd>(a, i, next_use, characterizer);
+            const LlcAccessResult r = llc.accessAs<kUcd, kChecked>(
+                a, i, next_use, characterizer);
             if (kDram) {
                 if (!r.hit) {
+                    // Fill read or bypassed access goes to DRAM.
+                    // Write allocations without fetch (store misses)
+                    // still appear as writes.
                     result.dramTrace.emplace_back(a.addr, a.stream,
                                                   a.isWrite,
                                                   a.cycle);
@@ -81,85 +77,29 @@ replayHot(BankedLlc &llc, const FrameTrace &trace,
         throwInjectedFault(FaultSite::SimAccess);
 }
 
-/** Resolve the three runtime mode flags into one instantiation. */
+/**
+ * Call @p f with one std::integral_constant<bool, ...> argument per
+ * runtime flag, turning the flags into template arguments.
+ */
+template <typename F>
 void
-replayHotDispatch(BankedLlc &llc, const FrameTrace &trace,
-                  const std::vector<std::uint64_t> &oracle,
-                  Characterizer &characterizer, std::size_t stop_at,
-                  bool ucd, bool use_oracle, bool dram,
-                  RunResult &result)
+withFlags(F &&f)
 {
-    const unsigned mode = (ucd ? 4u : 0u) | (use_oracle ? 2u : 0u)
-        | (dram ? 1u : 0u);
-    switch (mode) {
-      case 0:
-        replayHot<false, false, false>(llc, trace, oracle,
-                                       characterizer, stop_at,
-                                       result);
-        break;
-      case 1:
-        replayHot<false, false, true>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 2:
-        replayHot<false, true, false>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 3:
-        replayHot<false, true, true>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      case 4:
-        replayHot<true, false, false>(llc, trace, oracle,
-                                      characterizer, stop_at,
-                                      result);
-        break;
-      case 5:
-        replayHot<true, false, true>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      case 6:
-        replayHot<true, true, false>(llc, trace, oracle,
-                                     characterizer, stop_at, result);
-        break;
-      default:
-        replayHot<true, true, true>(llc, trace, oracle,
-                                    characterizer, stop_at, result);
-        break;
-    }
+    f();
 }
 
-/** The generic replay loop (virtual observer dispatch, audit, log). */
+template <typename F, typename... Flags>
 void
-replayGeneric(BankedLlc &llc, const FrameTrace &trace,
-              const std::vector<std::uint64_t> &oracle,
-              bool use_oracle, std::size_t inject_at,
-              const RunOptions &options, RunResult &result)
+withFlags(F &&f, bool flag, Flags... rest)
 {
-    for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
-        if (i == inject_at)
-            throwInjectedFault(FaultSite::SimAccess);
-        const MemAccess &a = trace.accesses[i];
-        const std::uint64_t next_use = use_oracle ? oracle[i] : kNever;
-        const LlcAccessResult r = llc.access(a, i, next_use);
-
-        if (options.collectDramTrace) {
-            if (!r.hit) {
-                // Fill read or bypassed access goes to DRAM.  Write
-                // allocations without fetch (store misses) still
-                // appear as writes.
-                result.dramTrace.emplace_back(a.addr, a.stream,
-                                              a.isWrite, a.cycle);
-            }
-            if (r.writeback) {
-                result.dramTrace.emplace_back(r.writebackAddr,
-                                              StreamType::Other, true,
-                                              a.cycle);
-            }
-        }
-    }
+    const auto bind = [&](auto constant) {
+        withFlags([&](auto... tail) { f(constant, tail...); },
+                  rest...);
+    };
+    if (flag)
+        bind(std::true_type{});
+    else
+        bind(std::false_type{});
 }
 
 } // namespace
@@ -190,8 +130,8 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
     // whether this replay dies, the payload picks where in the
     // access stream it does — exercising the sweep's recovery from
     // partially-built simulator state at any depth.  Sampled once,
-    // before the loop: the loops only compare against the
-    // precomputed injection index.
+    // before the loop: the replay stops at the precomputed injection
+    // index, having serviced every access before it.
     std::size_t inject_at = trace.accesses.size();
     if (faultsActive()
         && faultFires(FaultSite::SimAccess,
@@ -213,20 +153,14 @@ runTrace(const FrameTrace &trace, const PolicySpec &spec,
         const std::size_t n = trace.accesses.size();
         result.dramTrace.reserve(n + n / 4);
     }
-    const bool fast = llc.fastPathEligible()
-        && !options.forceGenericPath && !fastPathDisabledByEnv();
-    if (fast) {
-        // Specialized loop: the Characterizer is passed by concrete
-        // type, not attached as a virtual observer.
-        replayHotDispatch(llc, trace, oracle, characterizer,
-                          inject_at, config.uncachedDisplay,
-                          spec.needsOracle, options.collectDramTrace,
-                          result);
-    } else {
-        llc.setObserver(&characterizer);
-        replayGeneric(llc, trace, oracle, spec.needsOracle, inject_at,
-                      options, result);
-    }
+    withFlags(
+        [&](auto ucd, auto checked, auto use_oracle, auto dram) {
+            replay<decltype(ucd)::value, decltype(checked)::value,
+                   decltype(use_oracle)::value, decltype(dram)::value>(
+                llc, trace, oracle, characterizer, inject_at, result);
+        },
+        config.uncachedDisplay, llc.checked(), spec.needsOracle,
+        options.collectDramTrace);
 
     result.stats = llc.stats();
     result.characterization = characterizer.result();

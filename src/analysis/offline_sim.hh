@@ -42,19 +42,14 @@ struct RunOptions
 {
     /** Collect RunResult::dramTrace (needed for timing runs). */
     bool collectDramTrace = false;
-
-    /**
-     * Force the generic (virtual-observer) access path even when the
-     * specialized fast path is eligible.  The two paths are
-     * bit-identical; this exists for A/B tests and as an escape
-     * hatch (also reachable process-wide via GLLC_NO_FASTPATH=1).
-     */
-    bool forceGenericPath = false;
 };
 
 /**
  * Replay @p trace through an LLC of the given configuration managed
  * by @p spec (building the Belady oracle when the policy needs it).
+ * Every replay runs BankedLlc's one access body; when the invariant
+ * audit or the decision log is live it runs the checked
+ * instantiation, which changes no result.
  */
 RunResult runTrace(const FrameTrace &trace, const PolicySpec &spec,
                    const LlcConfig &llc_config,

@@ -1,8 +1,5 @@
 #include "cache/banked_llc.hh"
 
-#include "common/audit.hh"
-#include "common/decision_log.hh"
-#include "common/logging.hh"
 #include "common/metrics.hh"
 
 namespace gllc
@@ -57,14 +54,6 @@ LlcStats::merge(const LlcStats &other)
     evictions += other.evictions;
 }
 
-std::function<bool(const MemAccess &)>
-displayBypass()
-{
-    return [](const MemAccess &a) {
-        return a.stream == StreamType::Display;
-    };
-}
-
 BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     : geom_(config.capacityBytes, config.ways, config.banks),
       config_(config),
@@ -89,12 +78,6 @@ BankedLlc::BankedLlc(const LlcConfig &config, const PolicyFactory &factory)
     }
 }
 
-bool
-BankedLlc::fastPathEligible() const
-{
-    return !logDecisions_ && !config_.bypass && !auditActive();
-}
-
 std::uint32_t
 BankedLlc::findWay(const Bank &bank, std::uint32_t set, Addr tag) const
 {
@@ -115,139 +98,48 @@ BankedLlc::isResident(Addr addr) const
         != geom_.ways();
 }
 
-LlcAccessResult
-BankedLlc::access(const MemAccess &access, std::uint64_t index,
-                  std::uint64_t next_use)
+void
+BankedLlc::beginChecked(const MemAccess &access, std::uint64_t index,
+                        const CacheGeometry::Placement &where,
+                        std::uint32_t way) const
 {
-    LlcAccessResult result;
-    const std::uint32_t bank_id = geom_.bankOf(access.addr);
-    Bank &bank = banks_[bank_id];
-    const std::uint32_t set = geom_.setOf(access.addr);
-    const Addr tag = geom_.tagOf(access.addr);
-    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
+    if (!auditActive())
+        return;
+    AuditContext &ctx = auditContext();
+    ctx.stream = streamName(access.stream);
+    ctx.accessIndex = static_cast<std::int64_t>(index);
+    ctx.bank = where.bank;
+    ctx.set = where.set;
+    ctx.way = (way != geom_.ways()) ? way : -1;
+}
 
-    const bool audit = auditActive();
-    if (audit) {
-        AuditContext &ctx = auditContext();
-        ctx.stream = streamName(access.stream);
-        ctx.accessIndex = static_cast<std::int64_t>(index);
-        ctx.bank = bank_id;
-        ctx.set = set;
-        ctx.way = -1;
-    }
-
-    auto &sstats =
-        bank.stats.stream[static_cast<std::size_t>(access.stream)];
-    ++sstats.accesses;
-
-    // Filled in lazily: only when decision logging is live.
-    LlcDecision decision;
+void
+BankedLlc::endChecked(const MemAccess &access, std::uint64_t index,
+                      const CacheGeometry::Placement &where,
+                      std::uint32_t way, DecisionOutcome outcome) const
+{
+    const Bank &bank = banks_[where.bank];
     if (logDecisions_) {
+        LlcDecision decision;
         decision.index = index;
         decision.addr = access.addr;
         decision.stream = streamName(access.stream).c_str();
-        decision.bank = bank_id;
-        decision.set = set;
+        decision.bank = where.bank;
+        decision.set = where.set;
         decision.isWrite = access.isWrite;
-    }
-
-    const AccessInfo info{&access, index, next_use};
-    const std::uint32_t way = findWay(bank, set, tag);
-    if (audit)
-        auditContext().way = (way != geom_.ways()) ? way : -1;
-
-    if (way != geom_.ways()) {
-        // Hit (bypassed streams can still hit blocks another stream
-        // allocated; the data is resident either way).
-        ++sstats.hits;
-        result.hit = true;
-        bank.dirty[base + way] |=
-            static_cast<std::uint8_t>(access.isWrite);
-        bank.policy->onHit(set, way, info);
-        if (logDecisions_) {
+        decision.outcome = outcome;
+        if (outcome != DecisionOutcome::Bypass) {
             decision.way = static_cast<std::int32_t>(way);
-            decision.outcome = DecisionOutcome::Hit;
-            decision.rrpv = bank.policy->decisionRrpv(set, way);
-            decision.state = bank.policy->decisionState(set, way);
-            DecisionLog::local().record(decision);
+            decision.rrpv = bank.policy->decisionRrpv(where.set, way);
+            decision.state = bank.policy->decisionState(where.set, way);
         }
-        if (observer_ != nullptr)
-            observer_->onHit(access);
-        if (audit)
-            auditSet(bank_id, set);
-        return result;
-    }
-
-    if ((config_.uncachedDisplay
-         && access.stream == StreamType::Display)
-        || (config_.bypass && config_.bypass(access))
-        || bank.policy->shouldBypass(set, info)) {
-        ++sstats.bypasses;
-        result.bypassed = true;
-        if (logDecisions_) {
-            decision.outcome = DecisionOutcome::Bypass;
-            DecisionLog::local().record(decision);
-        }
-        if (observer_ != nullptr)
-            observer_->onBypass(access);
-        if (audit)
-            auditSet(bank_id, set);
-        return result;
-    }
-
-    // Miss: always fill (Section 2: "A miss in the LLC always fills
-    // the requested block into the LLC").
-    ++sstats.misses;
-
-    // Prefer the lowest invalid frame; otherwise ask the policy for a
-    // victim.
-    std::uint32_t fill_way = geom_.ways();
-    if (bank.liveWays[set] < geom_.ways()) {
-        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-            if (bank.tags[base + w] == kInvalidTag) {
-                fill_way = w;
-                break;
-            }
-        }
-        GLLC_ASSERT(fill_way < geom_.ways());
-        ++bank.liveWays[set];
-    }
-
-    if (fill_way == geom_.ways()) {
-        fill_way = bank.policy->selectVictim(set);
-        GLLC_ASSERT(fill_way < geom_.ways());
-        const Addr victim_tag = bank.tags[base + fill_way];
-        GLLC_ASSERT(victim_tag != kInvalidTag);
-        ++bank.stats.evictions;
-        if (bank.dirty[base + fill_way] != 0) {
-            ++bank.stats.writebacks;
-            result.writeback = true;
-            result.writebackAddr = victim_tag << kBlockShift;
-        }
-        bank.policy->onEvict(set, fill_way);
-        if (observer_ != nullptr)
-            observer_->onEvict(victim_tag << kBlockShift);
-    }
-
-    if (observer_ != nullptr)
-        observer_->onMiss(access);
-
-    bank.tags[base + fill_way] = tag;
-    bank.dirty[base + fill_way] =
-        static_cast<std::uint8_t>(access.isWrite);
-    bank.policy->onFill(set, fill_way, info);
-    if (logDecisions_) {
-        decision.way = static_cast<std::int32_t>(fill_way);
-        decision.outcome = DecisionOutcome::Fill;
-        decision.rrpv = bank.policy->decisionRrpv(set, fill_way);
-        decision.state = bank.policy->decisionState(set, fill_way);
         DecisionLog::local().record(decision);
     }
-    if (audit) {
-        auditContext().way = fill_way;
-        auditSet(bank_id, set);
+    if (auditActive()) {
+        if (outcome == DecisionOutcome::Fill)
+            auditContext().way = way;
+        auditSet(where.bank, where.set);
     }
-    return result;
 }
 
 void

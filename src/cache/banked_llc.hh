@@ -13,13 +13,14 @@
  * Hot path (DESIGN.md section 9).  The tag store is structure-of-
  * arrays: one contiguous Addr array per bank (kInvalidTag marks an
  * empty frame) plus a parallel dirty byte array, so the tag probe is
- * a tight scan over 8-byte lanes with no flag loads.  Replays that
- * need no audit, no decision log and no custom bypass predicate go
- * through accessHot<>(), a compile-time specialization over the UCD
- * switch and the concrete observer type that pays zero per-access
- * branches for the disabled facilities; everything else (tests,
- * audited runs, custom predicates) uses the generic access(), which
- * is bit-identical in outcome.
+ * a tight scan over 8-byte lanes with no flag loads.  There is one
+ * access body, accessAs<kUcd, kChecked, Observer>(), specialized at
+ * compile time over the UCD switch, the checked facilities and the
+ * concrete observer type.  kChecked is not a setting: it is
+ * checked() (decision logging or the invariant audit is live), and
+ * only that instantiation sets the audit context, audits the set and
+ * records decisions.  The unchecked instantiation pays no per-access
+ * branch for any of them.
  */
 
 #ifndef GLLC_CACHE_BANKED_LLC_HH
@@ -27,12 +28,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
+#include "common/audit.hh"
+#include "common/decision_log.hh"
 #include "common/logging.hh"
 
 namespace gllc
@@ -73,34 +75,13 @@ struct LlcStats
 };
 
 /**
- * Observation hooks for characterization layers (epoch tracking,
- * RT-bit inter-stream reuse classification) that must follow block
- * lifetimes without perturbing the policy under test.
- */
-class LlcObserver
-{
-  public:
-    virtual ~LlcObserver() = default;
-
-    /** Access hit a resident block. */
-    virtual void onHit(const MemAccess &access) { (void)access; }
-
-    /** Access missed and will allocate. */
-    virtual void onMiss(const MemAccess &access) { (void)access; }
-
-    /** Access missed and bypassed (no allocation). */
-    virtual void onBypass(const MemAccess &access) { (void)access; }
-
-    /** Valid block at block-aligned address was evicted. */
-    virtual void onEvict(Addr block_addr) { (void)block_addr; }
-};
-
-/**
- * No-op observer for accessHot<> replays that observe nothing; the
- * empty inline bodies vanish at compile time.  The hot path passes
- * each event's global frame index (bank-major, then set, then way)
- * so stateful observers can keep per-resident-block metadata in a
- * flat frame-indexed array instead of a hashed map.
+ * The observer shape, and the observer that observes nothing: the
+ * empty inline bodies vanish at compile time.  The access body calls
+ * an observer's hooks directly (no virtual dispatch) and passes each
+ * event's global frame index (bank-major, then set, then way), so
+ * stateful observers keep per-resident-block metadata in a flat
+ * frame-indexed array.  onEvictAt always precedes the onMissAt that
+ * refills the same frame.
  */
 struct NullLlcObserver
 {
@@ -136,17 +117,7 @@ struct LlcConfig
      * hot path can specialize on it at compile time.
      */
     bool uncachedDisplay = false;
-
-    /**
-     * Arbitrary bypass predicate for custom experiments; accesses
-     * for which this returns true never allocate.  A custom
-     * predicate forces the generic access path (fastPathEligible()).
-     */
-    std::function<bool(const MemAccess &)> bypass;
 };
-
-/** Returns the standard UCD bypass predicate (display stream). */
-std::function<bool(const MemAccess &)> displayBypass();
 
 /** The banked LLC. */
 class BankedLlc
@@ -155,38 +126,61 @@ class BankedLlc
     BankedLlc(const LlcConfig &config, const PolicyFactory &factory);
 
     /**
-     * Service one access (generic path: honours audit, decision log,
-     * observers and custom bypass predicates).
+     * Service one access, observing nothing.
      * @param access the load/store
      * @param index global trace position (Belady bookkeeping)
      * @param next_use trace index of the next access to this block,
      *        or kNever; only meaningful under oracle policies
      */
-    LlcAccessResult access(const MemAccess &access,
-                           std::uint64_t index = 0,
-                           std::uint64_t next_use = kNever);
-
-    /**
-     * True when replays may use accessHot<>(): no decision logging
-     * (sampled at construction), no custom bypass predicate, and no
-     * invariant audit.  The specialized and generic paths produce
-     * bit-identical results; this only gates which facilities need
-     * per-access checks.
-     */
-    bool fastPathEligible() const;
-
-    /**
-     * Specialized access fast path.  @p kUcd bakes in the
-     * uncached-displayable-color test; @p Observer is the concrete
-     * observer type with the frame-indexed hooks of NullLlcObserver,
-     * called directly (devirtualized) — use NullLlcObserver to
-     * observe nothing.  The caller must check fastPathEligible()
-     * once per replay and pass kUcd matching the configuration.
-     */
-    template <bool kUcd, typename Observer>
     LlcAccessResult
-    accessHot(const MemAccess &access, std::uint64_t index,
-              std::uint64_t next_use, Observer &observer)
+    access(const MemAccess &access, std::uint64_t index = 0,
+           std::uint64_t next_use = kNever)
+    {
+        NullLlcObserver none;
+        return this->access(access, index, next_use, none);
+    }
+
+    /**
+     * Service one access, reporting its events to @p observer (an
+     * object with NullLlcObserver's hooks).  Resolves the UCD and
+     * checked flags at run time, per access; replay loops resolve
+     * them once and call accessAs<>() directly.
+     */
+    template <typename Observer>
+    LlcAccessResult
+    access(const MemAccess &access, std::uint64_t index,
+           std::uint64_t next_use, Observer &observer)
+    {
+        if (checked()) {
+            return config_.uncachedDisplay
+                ? accessAs<true, true>(access, index, next_use,
+                                       observer)
+                : accessAs<false, true>(access, index, next_use,
+                                        observer);
+        }
+        return config_.uncachedDisplay
+            ? accessAs<true, false>(access, index, next_use, observer)
+            : accessAs<false, false>(access, index, next_use,
+                                     observer);
+    }
+
+    /**
+     * True when accesses must run the checked instantiation: the
+     * decision log (sampled at construction) or the invariant audit
+     * is live.  Sample it once per replay.
+     */
+    bool checked() const { return logDecisions_ || auditActive(); }
+
+    /**
+     * The access body.  @p kUcd bakes in the uncached-displayable-
+     * color test and must match the configuration; @p kChecked must
+     * equal checked() and adds the audit context, the per-set audit
+     * and decision logging; @p Observer's hooks are called directly.
+     */
+    template <bool kUcd, bool kChecked, typename Observer>
+    LlcAccessResult
+    accessAs(const MemAccess &access, std::uint64_t index,
+             std::uint64_t next_use, Observer &observer)
     {
         LlcAccessResult result;
         const CacheGeometry::Placement where =
@@ -211,15 +205,22 @@ class BankedLlc
         std::uint32_t way = 0;
         while (way < ways && tags[way] != where.tag)
             ++way;
+        if constexpr (kChecked)
+            beginChecked(access, index, where, way);
 
         const AccessInfo info{&access, index, next_use};
         if (way != ways) {
+            // Hit (bypassed streams can still hit blocks another
+            // stream allocated; the data is resident either way).
             ++sstats.hits;
             result.hit = true;
             bank.dirty[base + way] |=
                 static_cast<std::uint8_t>(access.isWrite);
             bank.policy->onHit(where.set, way, info);
             observer.onHitAt(access, frame_base + way);
+            if constexpr (kChecked)
+                endChecked(access, index, where, way,
+                           DecisionOutcome::Hit);
             return result;
         }
 
@@ -229,18 +230,24 @@ class BankedLlc
             ++sstats.bypasses;
             result.bypassed = true;
             observer.onBypass(access);
+            if constexpr (kChecked)
+                endChecked(access, index, where, ways,
+                           DecisionOutcome::Bypass);
             return result;
         }
 
+        // Miss: always fill (Section 2: "A miss in the LLC always
+        // fills the requested block into the LLC").
         ++sstats.misses;
 
         std::uint32_t fill_way;
         if (bank.liveWays[where.set] < ways) {
-            // Invalid frame available: fill the lowest one, exactly
-            // as the generic path's scan does.
+            // Invalid frame available: fill the lowest one.
             fill_way = 0;
             while (tags[fill_way] != kInvalidTag)
                 ++fill_way;
+            if constexpr (kChecked)
+                GLLC_ASSERT(fill_way < ways);
             ++bank.liveWays[where.set];
         } else {
             fill_way = bank.policy->selectVictim(where.set);
@@ -263,6 +270,9 @@ class BankedLlc
         bank.dirty[base + fill_way] =
             static_cast<std::uint8_t>(access.isWrite);
         bank.policy->onFill(where.set, fill_way, info);
+        if constexpr (kChecked)
+            endChecked(access, index, where, fill_way,
+                       DecisionOutcome::Fill);
         return result;
     }
 
@@ -285,9 +295,6 @@ class BankedLlc
      * Called once per replay; no-op when metrics are inactive.
      */
     void flushMetrics(const std::string &prefix) const;
-
-    /** Attach an observer (not owned); nullptr detaches. */
-    void setObserver(LlcObserver *observer) { observer_ = observer; }
 
     /** Merged insertion-RRPV histogram across banks, if available. */
     FillHistogram mergedFillHistogram() const;
@@ -345,6 +352,23 @@ class BankedLlc
         LlcStats stats;
     };
 
+    /**
+     * Checked-instantiation prologue, after the tag probe found
+     * @p way (ways() on a miss): names the access in the audit
+     * context before any policy hook can audit.
+     */
+    void beginChecked(const MemAccess &access, std::uint64_t index,
+                      const CacheGeometry::Placement &where,
+                      std::uint32_t way) const;
+
+    /**
+     * Checked-instantiation epilogue: records the decision (way is
+     * ways() for a bypass) when logging and audits the touched set.
+     */
+    void endChecked(const MemAccess &access, std::uint64_t index,
+                    const CacheGeometry::Placement &where,
+                    std::uint32_t way, DecisionOutcome outcome) const;
+
     /** Find the way holding addr in the set, or ways() if absent. */
     std::uint32_t findWay(const Bank &bank, std::uint32_t set,
                           Addr tag) const;
@@ -352,7 +376,6 @@ class BankedLlc
     CacheGeometry geom_;
     LlcConfig config_;
     std::vector<Bank> banks_;
-    LlcObserver *observer_ = nullptr;
 
     /**
      * Decision-log switch, sampled once at construction so the

@@ -114,7 +114,7 @@ TEST(BankedLlc, WriteHitMarksDirty)
 TEST(BankedLlc, BypassPreventsAllocation)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
 
     const auto r1 = llc.access(acc(7, StreamType::Display, true));
@@ -134,7 +134,7 @@ TEST(BankedLlc, BypassPreventsAllocation)
 TEST(BankedLlc, BypassedStreamCanHitResidentBlock)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     // Another stream cached the block; a display access finds it.
     llc.access(acc(9, StreamType::RenderTarget, true));
@@ -146,7 +146,7 @@ TEST(BankedLlc, BypassedStreamCanHitResidentBlock)
 TEST(BankedLlc, NonDisplayStreamsUnaffectedByUcd)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     llc.access(acc(3, StreamType::Texture));
     EXPECT_TRUE(llc.isResident(3 * kBlockBytes));
@@ -179,20 +179,26 @@ namespace
 {
 
 /** Observer that counts its callbacks. */
-class CountingObserver : public LlcObserver
+struct CountingObserver
 {
-  public:
-    void onHit(const MemAccess &) override { ++hits; }
-    void onMiss(const MemAccess &) override { ++misses; }
-    void onBypass(const MemAccess &) override { ++bypasses; }
-    void onEvict(Addr addr) override
+    void onHitAt(const MemAccess &, std::size_t) { ++hits; }
+    void onMissAt(const MemAccess &, std::size_t frame)
+    {
+        ++misses;
+        lastFilled = frame;
+    }
+    void onBypass(const MemAccess &) { ++bypasses; }
+    void onEvictAt(Addr addr, std::size_t frame)
     {
         ++evictions;
         lastEvicted = addr;
+        lastEvictedFrame = frame;
     }
 
     int hits = 0, misses = 0, bypasses = 0, evictions = 0;
     Addr lastEvicted = ~0ull;
+    std::size_t lastFilled = ~std::size_t{0};
+    std::size_t lastEvictedFrame = ~std::size_t{0};
 };
 
 } // namespace
@@ -200,27 +206,44 @@ class CountingObserver : public LlcObserver
 TEST(BankedLlc, ObserverSeesAllEvents)
 {
     LlcConfig config = smallConfig();
-    config.bypass = displayBypass();
+    config.uncachedDisplay = true;
     BankedLlc llc(config, LruPolicy::factory());
     CountingObserver obs;
-    llc.setObserver(&obs);
+    const auto access = [&](const MemAccess &a) {
+        return llc.access(a, 0, kNever, obs);
+    };
 
     const std::uint32_t sets = llc.geometry().setsPerBank();
-    llc.access(acc(0));                              // miss
-    llc.access(acc(0));                              // hit
-    llc.access(acc(1, StreamType::Display, false));  // bypass
+    access(acc(0));                              // miss
+    access(acc(0));                              // hit
+    access(acc(1, StreamType::Display, false));  // bypass
     for (Addr i = 1; i <= 4; ++i)
-        llc.access(acc(i * sets));                   // 4 misses, 1 evict
+        access(acc(i * sets));                   // 4 misses, 1 evict
 
     EXPECT_EQ(obs.hits, 1);
     EXPECT_EQ(obs.misses, 5);
     EXPECT_EQ(obs.bypasses, 1);
     EXPECT_EQ(obs.evictions, 1);
     EXPECT_EQ(obs.lastEvicted, 0u);
+    // The refill reuses the evicted frame.
+    EXPECT_EQ(obs.lastFilled, obs.lastEvictedFrame);
 
-    llc.setObserver(nullptr);  // detaching must be safe
-    llc.access(acc(99));
+    llc.access(acc(99));  // the observer-less overload observes nothing
     EXPECT_EQ(obs.misses, 5);
+}
+
+/** Frame indices are global: bank-major, then set, then way. */
+TEST(BankedLlc, ObserverFrameIndexIsBankSetWay)
+{
+    BankedLlc llc(smallConfig(4), LruPolicy::factory());
+    CountingObserver obs;
+    const std::uint32_t sets = llc.geometry().setsPerBank();
+    const std::uint32_t ways = llc.geometry().ways();
+    // Block (4 * 3 + 2) is bank 2, set 3 of a 4-bank cache; the set's
+    // first fill takes way 0.
+    llc.access(acc(4 * 3 + 2), 0, kNever, obs);
+    EXPECT_EQ(obs.lastFilled,
+              std::size_t{2} * sets * ways + std::size_t{3} * ways);
 }
 
 TEST(BankedLlc, StatsMerge)

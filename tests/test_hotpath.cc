@@ -1,9 +1,10 @@
 /**
  * @file
- * Replay hot-path guarantees (DESIGN.md section 9): the specialized
- * access path must be bit-identical to the generic observer path for
- * every registered policy, and the hotpath benchmark must emit its
- * stable "gllc-hotpath-v1" schema.
+ * Replay hot-path guarantees (DESIGN.md section 9): decision logging
+ * (the checked instantiation) must not perturb results, and the
+ * hotpath benchmark must emit its stable "gllc-hotpath-v1" schema.
+ * test_reference_llc checks the access body itself against an
+ * independent reference LLC.
  */
 
 #include <gtest/gtest.h>
@@ -62,67 +63,11 @@ expectCharacterizationEqual(const Characterization &a,
     }
 }
 
-void
-expectFillsEqual(const FillHistogram &a, const FillHistogram &b,
-                 const std::string &what)
-{
-    for (std::size_t s = 0; s < kNumPolicyStreams; ++s)
-        for (unsigned r = 0; r < FillHistogram::kMaxRrpv; ++r)
-            EXPECT_EQ(a.counts[s][r], b.counts[s][r])
-                << what << " stream " << s << " rrpv " << r;
-}
-
 } // namespace
 
 /**
- * Every registered policy variant (base, +UCD, threshold sweeps)
- * produces byte-identical results on both access paths.
- */
-TEST(HotpathBitIdentity, AllPolicyVariantsMatchGenericPath)
-{
-    const FrameTrace trace = syntheticHotpathTrace(20000, 42);
-    const LlcConfig config = smallConfig();
-
-    for (const PolicySpec &spec : allPolicySpecs()) {
-        RunOptions fast;
-        RunOptions generic;
-        generic.forceGenericPath = true;
-        const RunResult a = runTrace(trace, spec, config, fast);
-        const RunResult b = runTrace(trace, spec, config, generic);
-        expectStatsEqual(a.stats, b.stats, spec.name);
-        expectCharacterizationEqual(a.characterization,
-                                    b.characterization, spec.name);
-        expectFillsEqual(a.fills, b.fills, spec.name);
-    }
-}
-
-/** The DRAM-bound traffic stream is identical on both paths too. */
-TEST(HotpathBitIdentity, DramTraceMatchesGenericPath)
-{
-    const FrameTrace trace = syntheticHotpathTrace(20000, 7);
-    const LlcConfig config = smallConfig();
-    const PolicySpec spec = policySpec("DRRIP+UCD");
-
-    RunOptions fast;
-    fast.collectDramTrace = true;
-    RunOptions generic = fast;
-    generic.forceGenericPath = true;
-
-    const RunResult a = runTrace(trace, spec, config, fast);
-    const RunResult b = runTrace(trace, spec, config, generic);
-    ASSERT_EQ(a.dramTrace.size(), b.dramTrace.size());
-    for (std::size_t i = 0; i < a.dramTrace.size(); ++i) {
-        EXPECT_EQ(a.dramTrace[i].addr, b.dramTrace[i].addr) << i;
-        EXPECT_EQ(a.dramTrace[i].stream, b.dramTrace[i].stream) << i;
-        EXPECT_EQ(a.dramTrace[i].isWrite, b.dramTrace[i].isWrite)
-            << i;
-        EXPECT_EQ(a.dramTrace[i].cycle, b.dramTrace[i].cycle) << i;
-    }
-}
-
-/**
- * Decision logging forces the generic path and must not perturb
- * results; the run actually records decisions.
+ * Decision logging selects the checked instantiation and must not
+ * perturb results; the run actually records decisions.
  */
 TEST(HotpathBitIdentity, DecisionLoggingUnperturbed)
 {
@@ -187,32 +132,11 @@ TEST(HotpathSchema, JsonHasStableFields)
     for (const char *needle :
          {"\"schema\": \"gllc-hotpath-v1\"", "\"config\"",
           "\"scale\"", "\"synthetic_accesses\"", "\"real_frames\"",
-          "\"repeats\"", "\"generic_path\"", "\"policies\"",
+          "\"repeats\"", "\"policies\"",
           "\"policy\": \"NRU\"", "\"policy\": \"DRRIP\"",
           "\"total_accesses\"", "\"total_seconds\"",
           "\"accesses_per_sec\"", "\"p50_cell_ms\"",
           "\"p95_cell_ms\"", "\"misses\""}) {
         EXPECT_NE(json.find(needle), std::string::npos) << needle;
-    }
-}
-
-/** The misses fingerprint is path-independent and deterministic. */
-TEST(HotpathSchema, MissFingerprintMatchesGenericPath)
-{
-    HotpathOptions options;
-    options.syntheticAccesses = 4000;
-    options.realFrames = 0;
-    options.repeats = 1;
-    options.policies = {"SRRIP", "GSPC+B"};
-
-    HotpathOptions generic = options;
-    generic.genericPath = true;
-
-    const HotpathReport a = runHotpathBench(options);
-    const HotpathReport b = runHotpathBench(generic);
-    ASSERT_EQ(a.policies.size(), b.policies.size());
-    for (std::size_t i = 0; i < a.policies.size(); ++i) {
-        EXPECT_EQ(a.policies[i].misses, b.policies[i].misses)
-            << a.policies[i].policy;
     }
 }

@@ -9,7 +9,9 @@
  *    and at most the trace length;
  *  - accounting identities hold (hits + misses + bypasses =
  *    accesses);
- *  - replays are deterministic.
+ *  - replays are deterministic;
+ *  - Belady and LRU are stack algorithms: at a fixed set count,
+ *    more ways never means more misses.
  *
  * Each property runs as a parameterized sweep over (policy, seed).
  */
@@ -20,6 +22,7 @@
 
 #include "analysis/offline_sim.hh"
 #include "common/rng.hh"
+#include "reference_llc.hh"
 
 using namespace gllc;
 
@@ -179,6 +182,34 @@ TEST_P(CapacityProperty, WiderBeladyCacheNeverMissesMore)
         const auto r = runTrace(t, policySpec("Belady"), c);
         EXPECT_LE(r.stats.totalMisses(), last);
         last = r.stats.totalMisses();
+    }
+}
+
+TEST_P(CapacityProperty, WiderLruCacheNeverMissesMore)
+{
+    // LRU is a stack algorithm (Mattson et al., 1970): at a fixed
+    // set count, a wider set always holds a superset of the blocks
+    // the narrower one holds, so misses never increase with the
+    // associativity.  Checked through the replay and through the
+    // reference LLC's own LRU transcription.
+    const FrameTrace t = randomTrace(GetParam());
+    std::uint64_t last = ~0ull;
+    std::uint64_t last_ref = ~0ull;
+    for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+        LlcConfig c;
+        c.capacityBytes =
+            static_cast<std::uint64_t>(ways) * 32 * kBlockBytes;
+        c.ways = ways;  // 32 sets at every step
+        c.banks = 1;
+        const std::uint64_t misses =
+            runTrace(t, policySpec("LRU"), c).stats.totalMisses();
+        const std::uint64_t ref_misses =
+            referenceReplay(t, policySpec("LRU"), c)
+                .stats.totalMisses();
+        EXPECT_LE(misses, last) << ways << " ways";
+        EXPECT_LE(ref_misses, last_ref) << ways << " ways";
+        last = misses;
+        last_ref = ref_misses;
     }
 }
 

@@ -14,7 +14,7 @@ Two modes over the "gllc-hotpath-v1" schema (bench/hotpath.hh):
             --current result.json [--fail-pct 15] [--warn-pct 5]
 
     The two reports must be comparable: same schema, same benchmark
-    configuration (scale, access counts, repeats, path) and the same
+    configuration (scale, access counts, repeats) and the same
     policy set — anything else exits 1 as incomparable rather than
     producing a meaningless percentage.  A policy whose accesses/sec
     dropped more than --fail-pct percent fails the gate; more than
@@ -36,7 +36,6 @@ CONFIG_FIELDS = (
     "synthetic_accesses",
     "real_frames",
     "repeats",
-    "generic_path",
 )
 
 POLICY_NUMBER_FIELDS = (
